@@ -146,6 +146,23 @@ impl WordMask {
         }
     }
 
+    /// Visits the set bits in ascending order and clears each one for which
+    /// `keep` returns `false` — the engine's worklist pass, where visiting a
+    /// component and deciding whether it stays scheduled are one step.
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                if !keep(wi * WORD_BITS + bit as usize) {
+                    *word &= !(1u64 << bit);
+                }
+            }
+        }
+    }
+
     /// Iterates the set bits in ascending order.
     pub fn iter(&self) -> SetBits<'_> {
         SetBits {
@@ -282,6 +299,22 @@ mod tests {
         }
         assert_eq!(m.iter().collect::<Vec<_>>(), bits);
         assert_eq!((&m).into_iter().count(), bits.len());
+    }
+
+    #[test]
+    fn retain_visits_ascending_and_clears_rejected_bits() {
+        let mut m = WordMask::new(200);
+        let bits = [3, 63, 64, 130, 199];
+        for &b in &bits {
+            m.set(b);
+        }
+        let mut seen = Vec::new();
+        m.retain(|b| {
+            seen.push(b);
+            b % 2 == 1
+        });
+        assert_eq!(seen, bits);
+        assert_eq!(m.iter().collect::<Vec<_>>(), [3, 63, 199]);
     }
 
     #[test]

@@ -15,15 +15,19 @@
 //! single packed *claim word* — `(epoch << INDEX_BITS) | next_index` — plus a
 //! `remaining` countdown:
 //!
-//! - **Publish** (submitter): write the erased job pointer, `len`,
-//!   `remaining`, and the helper `slots` budget, then store
-//!   `(epoch + 1) << INDEX_BITS` into the claim word. One atomic store is the
+//! - **Publish** (submitter): close the drained epoch by parking its index
+//!   at the sentinel `INDEX_MASK`, write the erased job pointer, `len`
+//!   (Release), `remaining`, and the helper `slots` budget, then store
+//!   `(epoch + 1) << INDEX_BITS` into the claim word. That store is the
 //!   entire barrier release; no lock is taken (the `submit` mutex only
 //!   serializes *distinct* submitters and is uncontended in the cycle loop).
-//! - **Claim** (submitter and workers alike): CAS the claim word from
-//!   `(e, i)` to `(e, i + 1)`. The epoch in the compared value makes a stale
-//!   claim from a previous batch impossible — a straggler's CAS fails the
-//!   moment the epoch moves on. Workers only read the job pointer *after* a
+//! - **Claim** (submitter and workers alike): load `len` (Acquire), then CAS
+//!   the claim word from `(e, i)` to `(e, i + 1)` for `i < len`. A stale
+//!   claim from a previous batch is impossible: the epoch in the compared
+//!   value fails the CAS once the epoch moves on, and a straggler that reads
+//!   the *next* batch's staged `len` before that also sees the sentinel, so
+//!   its CAS fails too (it can never claim past the drained length and run
+//!   a new-batch index twice). Workers only read the job pointer *after* a
 //!   successful CAS in the current epoch, and the pointer cannot have been
 //!   republished underneath them because publishing epoch `e + 1` requires
 //!   epoch `e`'s `remaining` to have hit zero first.
@@ -234,7 +238,9 @@ fn claim_indices(shared: &Shared, epoch: u64, run: impl Fn(usize)) {
             return;
         }
         let idx = (cur & INDEX_MASK) as usize;
-        let len = shared.len.load(Ordering::Relaxed);
+        // Acquire pairs with the submitter's Release store of a staged
+        // length: seeing it implies seeing the sentinel that closed `epoch`.
+        let len = shared.len.load(Ordering::Acquire);
         if idx >= len {
             return;
         }
@@ -451,15 +457,25 @@ impl WorkerPool {
                 as *const _
         });
         let s = self.shared;
+        // Close the drained epoch before staging: a straggler still in
+        // `claim_indices` may hold the drained word `(e, len_e)` and is about
+        // to compare its index against `len`. Parking the index at the
+        // sentinel `INDEX_MASK` (never a valid index) makes its CAS fail once
+        // it can see the new `len`: the Release store of `len` below follows
+        // this store, and `claim_indices` loads `len` with Acquire before its
+        // CAS, so a straggler that reads the staged length also sees the
+        // sentinel.
+        let epoch = (s.claim.load(Ordering::Relaxed) >> INDEX_BITS) + 1;
+        s.claim
+            .store(pack(epoch - 1, INDEX_MASK as usize), Ordering::SeqCst);
         // Stage the batch, then publish it with the claim-word store. The
         // store is SeqCst (not merely Release) for the ParkGate missed-wakeup
         // protocol: it must be totally ordered against a parking worker's
         // `sleepers` advertisement.
         unsafe { *s.job.0.get() = Some(raw) };
-        s.len.store(len, Ordering::Relaxed);
+        s.len.store(len, Ordering::Release);
         s.remaining.store(len, Ordering::Relaxed);
         s.slots.store(helpers as isize, Ordering::Relaxed);
-        let epoch = (s.claim.load(Ordering::Relaxed) >> INDEX_BITS) + 1;
         s.claim.store(pack(epoch, 0), Ordering::SeqCst);
         if eager {
             s.work_gate.wake_all();
@@ -615,6 +631,45 @@ mod tests {
             });
         }
         assert_eq!(sum.load(Ordering::Relaxed), 2_000 * 15);
+    }
+
+    #[test]
+    fn varying_length_batches_run_each_index_exactly_once() {
+        // The engine's batch length changes every cycle (one index per
+        // pending shard). A straggler still claiming in a drained epoch must
+        // never claim from the next batch's staged length: that would run
+        // one index on two threads and retire it against the wrong batch
+        // (double execution here, or a submitter waiting forever). The run
+        // is bounded by a watchdog so a lost completion fails instead of
+        // hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = WorkerPool::new();
+            pool.set_eager_wake(true);
+            let hits: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
+            for round in 0..30_000usize {
+                let len = 2 + round % 7;
+                pool.run_limited(len, 3, &|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                for (i, h) in hits.iter().enumerate() {
+                    let want = u32::from(i < len);
+                    let got = h.swap(0, Ordering::Relaxed);
+                    assert_eq!(
+                        got, want,
+                        "round {round} (len {len}) ran index {i} {got} times"
+                    );
+                }
+            }
+            done.send(()).expect("test thread waits for completion");
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("a batch ran an index the wrong number of times")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("a batch never drained"),
+        }
     }
 
     #[test]

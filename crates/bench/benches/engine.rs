@@ -83,7 +83,8 @@ fn mesh8x8(factory: &dyn RouterFactory) -> Simulation {
 /// synchronization point per cycle.
 fn big_mesh(radix: u16) -> Simulation {
     let topo = Arc::new(Mesh::new(radix, radix, 1));
-    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 5, 0.15, 5);
+    let side = usize::from(radix);
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, side, side, 5, 0.15, 5);
     let config = NetworkConfig {
         routing: RoutingPolicy::Xy,
         va_policy: VaPolicy::Static,

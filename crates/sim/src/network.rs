@@ -7,10 +7,29 @@
 //!
 //! The hot loop runs on precomputed state only. At construction every
 //! topology lookup is flattened into [`FlatWiring`] and [`DistanceMatrix`]
-//! index tables, events travel through typed double-buffered queues (no enum
-//! dispatch, capacity reused across cycles), and an active-router worklist
-//! skips the `step` of routers that are provably quiescent. In steady state
-//! the loop performs zero heap allocations.
+//! index tables, and events travel through typed double-buffered queues (no
+//! enum dispatch, capacity reused across cycles). In steady state the loop
+//! performs zero heap allocations.
+//!
+//! # Activity-driven stepping
+//!
+//! A cycle visits only components that have work, so its cost grows with
+//! activity (plus one pass over `N / 64` mask words), not with network size.
+//! Three word-packed [`WordMask`] activity sets carry this:
+//!
+//! - **Router worklist** (per shard, by local router position): a router
+//!   joins when an inbound flit or credit reaches it and stays only while it
+//!   reports `!is_idle()` right after its own step.
+//! - **Interface worklist** (per shard, by position in the shard's node
+//!   list): an interface joins when a packet is enqueued or a flit is
+//!   ejected to it (it then owes a credit) and stays only while
+//!   `has_step_work()` after its own step.
+//! - **Delivered-node mask** (global): a node joins when an ejected flit
+//!   completes a packet; the delivery phase drains exactly those nodes, in
+//!   ascending node order.
+//!
+//! All three rest on one invariant: a component that is idle after its own
+//! step stays idle until an event reaches it (DESIGN.md §10).
 //!
 //! # Sharded parallel stepping
 //!
@@ -136,6 +155,9 @@ struct ShardLayout {
     /// Shard of each node's attached router (for pending-mask marking on
     /// injection).
     node_shard: Vec<usize>,
+    /// Position of each node within its shard's `ni_lists` entry — its bit
+    /// in that shard's interface worklist.
+    ni_pos: Vec<usize>,
 }
 
 impl ShardLayout {
@@ -148,9 +170,11 @@ impl ShardLayout {
             .collect();
         let mut ni_lists: Vec<Vec<usize>> = (0..ranges.len()).map(|_| Vec::new()).collect();
         let mut node_shard = Vec::with_capacity(num_nodes);
+        let mut ni_pos = Vec::with_capacity(num_nodes);
         for n in 0..num_nodes {
             let (router, _) = wiring.attach_of(NodeId::new(n));
             let s = router.index() / chunk;
+            ni_pos.push(ni_lists[s].len());
             ni_lists[s].push(n);
             node_shard.push(s);
         }
@@ -159,6 +183,7 @@ impl ShardLayout {
             ranges,
             ni_lists,
             node_shard,
+            ni_pos,
         }
     }
 
@@ -173,25 +198,36 @@ impl ShardLayout {
 }
 
 /// Per-shard mutable scratch: reusable emission buffers, an independent RNG
-/// stream for engine-internal randomized decisions, and the shard's
-/// contribution to next cycle's pending mask.
+/// stream for engine-internal randomized decisions, and the shard's two
+/// worklists.
 struct ShardScratch {
     router_out: RouterOutputs,
     ni_out: NiOutputs,
     rng: Pcg32,
-    /// Set by the shard's step when it retains work for next cycle (a
-    /// stepped router left non-idle, or an interface with injection work) —
-    /// state the pending mask cannot see through the event lanes.
-    busy: bool,
+    /// Router worklist, by position in the shard's router range: routers an
+    /// event reached this cycle, plus those left non-idle by their last step.
+    router_work: WordMask,
+    /// Interface worklist, by position in the shard's node list: interfaces
+    /// with step work (a queued or serializing packet, or an ejection credit
+    /// to return).
+    ni_work: WordMask,
     /// Non-empty inbound lanes this shard drained in its latest step
     /// (coordination metrics only; counted only when enabled).
     lanes_merged: u64,
 }
 
+impl ShardScratch {
+    /// Whether the shard retains router or interface work for next cycle —
+    /// state the pending mask cannot see through the event lanes.
+    fn busy(&self) -> bool {
+        self.router_work.any() || self.ni_work.any()
+    }
+}
+
 /// Everything one shard job needs, erased to raw pointers where shards touch
 /// disjoint elements of a shared vector.
 ///
-/// Safety: shard `s` dereferences `routers[r]`/`active[r]` only for `r` in
+/// Safety: shard `s` dereferences `routers[r]` only for `r` in
 /// `layout.ranges[s]`, `nis[n]` only for `n` in `layout.ni_lists[s]`, and
 /// `now[s]`/`next[s]`/`scratch[s]` only at its own index. Of the flat
 /// `shards × shards` lane matrices it writes only row `s` of `lanes_next`
@@ -213,7 +249,6 @@ struct ShardCtx<'a> {
     pool: *const FlitPool,
     routers: *mut Box<dyn RouterModel>,
     nis: *mut NetworkInterface,
-    active: *mut bool,
     now: *mut ShardOutbox,
     next: *mut ShardOutbox,
     lanes_now: *mut LanePair,
@@ -227,8 +262,8 @@ unsafe impl Sync for ShardCtx<'_> {}
 
 /// Runs one shard's slice of a cycle: drains the shard's inbound event lanes
 /// (the fused merge — this *is* the delivery of last cycle's cross-shard
-/// emissions), steps its interfaces, then steps its routers, writing all
-/// emissions into the shard's own outbox row.
+/// emissions), steps the interfaces and then the routers on its worklists,
+/// writing all emissions into the shard's own outbox row.
 ///
 /// Per-receiver event order is identical to the serial engine: interface
 /// emissions land before router emissions, and router emissions land in
@@ -236,6 +271,8 @@ unsafe impl Sync for ShardCtx<'_> {}
 /// ranges) is ascending router-index order. Skipped source shards
 /// contribute empty lanes — had they emitted anything, their `dest_mask`
 /// would have forced them pending and they would not have been skipped.
+/// Worklists are visited in ascending position order, and a component left
+/// off one would have emitted nothing, so the order holds within a shard too.
 ///
 /// # Safety
 ///
@@ -249,82 +286,86 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     let shards = ctx.shards;
     let now = &mut *ctx.now.add(s);
     let next = &mut *ctx.next.add(s);
-    let scratch = &mut *ctx.scratch.add(s);
+    let ShardScratch {
+        router_out,
+        ni_out,
+        router_work,
+        ni_work,
+        lanes_merged,
+        ..
+    } = &mut *ctx.scratch.add(s);
+    let base = layout.ranges[s].start;
     next.dest_mask.clear_all();
-    let mut busy = false;
-    let mut lanes_merged = 0u64;
+    *lanes_merged = 0;
 
     // Inbound flits: interface emissions first, then router emissions in
     // ascending source-shard order. Receiving routers join the worklist.
     // Draining (rather than copying) the lanes empties them in place, with
     // capacity retained — delivery and retirement are one pass.
     if ctx.count_lanes && !now.ni_flits.is_empty() {
-        lanes_merged += 1;
+        *lanes_merged += 1;
     }
     for (router, port, flit) in now.ni_flits.drain(..) {
-        *ctx.active.add(router.index()) = true;
+        router_work.set(router.index() - base);
         (*ctx.routers.add(router.index())).receive_flit(port, flit);
     }
     for src in 0..shards {
         let lane = &mut *ctx.lanes_now.add(src * shards + s);
         if ctx.count_lanes && !lane.flits.is_empty() {
-            lanes_merged += 1;
+            *lanes_merged += 1;
         }
         for (router, port, flit) in lane.flits.drain(..) {
-            *ctx.active.add(router.index()) = true;
+            router_work.set(router.index() - base);
             (*ctx.routers.add(router.index())).receive_flit(port, flit);
         }
     }
 
     // Inbound credits, same ordering.
     if ctx.count_lanes && !now.ni_credits.is_empty() {
-        lanes_merged += 1;
+        *lanes_merged += 1;
     }
     for (router, out_port, credit) in now.ni_credits.drain(..) {
-        *ctx.active.add(router.index()) = true;
+        router_work.set(router.index() - base);
         (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
     }
     for src in 0..shards {
         let lane = &mut *ctx.lanes_now.add(src * shards + s);
         if ctx.count_lanes && !lane.credits.is_empty() {
-            lanes_merged += 1;
+            *lanes_merged += 1;
         }
         for (router, out_port, credit) in lane.credits.drain(..) {
-            *ctx.active.add(router.index()) = true;
+            router_work.set(router.index() - base);
             (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
         }
     }
 
-    // Interface injection and ejection-credit return for this shard's nodes.
-    for &n in &layout.ni_lists[s] {
-        let ni = &mut *ctx.nis.add(n);
-        scratch.ni_out.clear();
-        ni.step(cycle, s, &mut scratch.ni_out);
+    // Interfaces on the worklist inject and return ejection credits. One
+    // left without step work drops off until an enqueue or an ejection
+    // reaches it.
+    let ni_list = &layout.ni_lists[s];
+    ni_work.retain(|pos| {
+        let ni = &mut *ctx.nis.add(ni_list[pos]);
+        ni_out.clear();
+        ni.step(cycle, s, ni_out);
         let (router, local) = wiring.attach_of(ni.node());
-        if let Some(flit) = scratch.ni_out.flit.take() {
+        if let Some(flit) = ni_out.flit.take() {
             next.ni_flits.push((router, local, flit));
         }
-        for vc in scratch.ni_out.credits.drain(..) {
+        for vc in ni_out.credits.drain(..) {
             next.ni_credits.push((router, local, Credit::new(vc)));
         }
-        // An interface still holding injection work must step again next
-        // cycle even if no event reaches this shard in between.
-        busy |= ni.has_step_work();
-    }
+        ni.has_step_work()
+    });
 
-    // Routers advance and emit. A router is skipped only when it received no
-    // event this cycle AND its own model certifies that `step` would be a
-    // no-op — so skipping cannot change behaviour.
-    for r in layout.ranges[s].clone() {
-        let scheduled = std::mem::replace(&mut *ctx.active.add(r), false);
-        let model = &mut *ctx.routers.add(r);
-        if !scheduled && model.is_idle() {
-            continue;
-        }
-        let router = RouterId::new(r);
-        scratch.router_out.clear();
-        model.step(cycle, &mut scratch.router_out);
-        for sent in scratch.router_out.flits.drain(..) {
+    // Routers on the worklist advance and emit. One that certifies
+    // `is_idle` after its step drops off until an event reaches it — so
+    // `is_idle` runs once per step, never on an unscheduled router.
+    router_work.retain(|pos| {
+        let router = RouterId::new(base + pos);
+        let model = &mut *ctx.routers.add(router.index());
+        router_out.clear();
+        model.step(cycle, router_out);
+        for sent in router_out.flits.drain(..) {
             if sent.out_port.index() < wiring.concentration() {
                 let node = wiring
                     .eject_node(router, sent.out_port)
@@ -344,7 +385,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
                     .push((end.router, end.port, sent.flit));
             }
         }
-        for (in_port, vc) in scratch.router_out.credits.drain(..) {
+        for (in_port, vc) in router_out.credits.drain(..) {
             match wiring.feeder(router, in_port) {
                 PortFeeder::Channel {
                     router: up,
@@ -367,9 +408,24 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
                 }
             }
         }
-        // A router left non-idle must step again next cycle regardless of
-        // inbound events (it is holding flits mid-pipeline).
-        busy |= !model.is_idle();
+        !model.is_idle()
+    });
+
+    // Exactness cross-check: stepping anything left off a worklist must be
+    // a provable no-op, or skipping it would change behaviour.
+    if cfg!(debug_assertions) {
+        for (pos, r) in layout.ranges[s].clone().enumerate() {
+            debug_assert!(
+                router_work.get(pos) || (*ctx.routers.add(r)).is_idle(),
+                "router {r} left the worklist while not idle"
+            );
+        }
+        for (pos, &n) in ni_list.iter().enumerate() {
+            debug_assert!(
+                ni_work.get(pos) || !(*ctx.nis.add(n)).has_step_work(),
+                "interface {n} left the worklist with step work"
+            );
+        }
     }
 
     // Intra-shard emissions (NI injections, ejections, node credits) are
@@ -379,8 +435,6 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     if !next.is_empty() {
         next.dest_mask.set(s);
     }
-    scratch.busy = busy;
-    scratch.lanes_merged = lanes_merged;
 }
 
 /// A fully wired network plus its workload: the top-level simulation object.
@@ -422,11 +476,11 @@ pub struct Simulation {
     pending: WordMask,
     /// Reusable compaction of `pending` into job indices for the pool.
     worklist: Vec<usize>,
-    /// Per-shard reusable emission buffers and RNG streams.
+    /// Per-shard reusable emission buffers, RNG streams and worklists.
     scratch: Vec<ShardScratch>,
-    /// Worklist flags: router received an event this cycle, so its `step`
-    /// must run even if its externally visible state looks idle.
-    active: Vec<bool>,
+    /// Nodes whose interface completed a packet this cycle (set in phase 1,
+    /// drained in ascending node order in phase 4).
+    delivered: WordMask,
     cycle: u64,
     next_packet_id: u64,
     stats: SimStats,
@@ -531,7 +585,7 @@ impl Simulation {
 
         let wiring = FlatWiring::new(topo.as_ref());
         let dist = DistanceMatrix::new(topo.as_ref());
-        let active = vec![false; routers.len()];
+        let delivered = WordMask::new(nis.len());
         let layout = ShardLayout::new(1, routers.len(), nis.len(), &wiring);
         let coordination = (metrics.level == MetricsLevel::Full).then(CoordinationStats::default);
 
@@ -555,7 +609,7 @@ impl Simulation {
             pending: WordMask::new(1),
             worklist: Vec::new(),
             scratch: Vec::new(),
-            active,
+            delivered,
             cycle: 0,
             next_packet_id: 0,
             stats: SimStats::new(0, u64::MAX),
@@ -612,16 +666,29 @@ impl Simulation {
             .max()
             .unwrap_or(0);
         let vcs = self.config.vcs_per_port as usize;
+        // Seed the worklists from the components' own predicates — the one
+        // time `is_idle` runs on a router that has not just stepped.
         self.scratch = (0..shards)
             .map(|s| {
                 let mut router_out = RouterOutputs::default();
                 router_out.flits.reserve(max_out);
                 router_out.credits.reserve(max_in * vcs);
+                let range = self.layout.ranges[s].clone();
+                let mut router_work = WordMask::new(range.len());
+                for (pos, r) in range.enumerate() {
+                    router_work.assign(pos, !self.routers[r].is_idle());
+                }
+                let ni_list = &self.layout.ni_lists[s];
+                let mut ni_work = WordMask::new(ni_list.len());
+                for (pos, &n) in ni_list.iter().enumerate() {
+                    ni_work.assign(pos, self.nis[n].has_step_work());
+                }
                 ShardScratch {
                     router_out,
                     ni_out: NiOutputs::default(),
                     rng: self.seeds.shard_rng(s),
-                    busy: false,
+                    router_work,
+                    ni_work,
                     lanes_merged: 0,
                 }
             })
@@ -781,17 +848,33 @@ impl Simulation {
         // intra-shard, but interface receipt feeds reassembly and delivery
         // statistics, so they stay on the driver thread; scanning shards
         // ascending reproduces the serial engine's ascending router-index
-        // emission order. (The producing shard already marked itself pending
-        // for this cycle when it filled these lanes, so the ejection credits
-        // these receipts create are returned by this cycle's phase 3.)
+        // emission order. An ejected flit puts its interface on the shard's
+        // worklist (it owes a credit) and, when it completes a packet, its
+        // node on the delivered mask. (The producing shard already marked
+        // itself pending for this cycle when it filled these lanes, so the
+        // ejection credits these receipts create are returned by this
+        // cycle's phase 3.) A returned credit gives an interface no step
+        // work of its own: one blocked on credits still has its packet
+        // queued and so never left the worklist.
         {
-            let nis = &mut self.nis;
-            for outbox in self.now.iter_mut() {
+            let Simulation {
+                nis,
+                now,
+                scratch,
+                layout,
+                delivered,
+                ..
+            } = self;
+            for outbox in now.iter_mut() {
                 for (node, flit) in outbox.node_flits.drain(..) {
-                    nis[node.index()].receive_flit(cycle, flit);
+                    let n = node.index();
+                    scratch[layout.node_shard[n]].ni_work.set(layout.ni_pos[n]);
+                    if nis[n].receive_flit(cycle, flit) {
+                        delivered.set(n);
+                    }
                 }
             }
-            for outbox in self.now.iter_mut() {
+            for outbox in now.iter_mut() {
                 for (node, credit) in outbox.node_credits.drain(..) {
                     nis[node.index()].receive_credit(credit);
                 }
@@ -799,8 +882,8 @@ impl Simulation {
         }
 
         // Phase 2 (serial): workload generation into source queues. A fresh
-        // injection gives the source's interface step-work, so its shard
-        // joins this cycle's pending set.
+        // injection gives the source's interface step work, so it joins its
+        // shard's worklist and the shard joins this cycle's pending set.
         let requests = &mut self.request_buf;
         debug_assert!(requests.is_empty());
         self.traffic.generate(cycle, &mut |r| requests.push(r));
@@ -814,8 +897,10 @@ impl Simulation {
             self.next_packet_id += 1;
             self.nis[request.src.index()].enqueue(cycle, &request, id);
             self.stats.on_injected(cycle);
-            self.pending
-                .set(self.layout.node_shard[request.src.index()]);
+            let src = request.src.index();
+            let shard = self.layout.node_shard[src];
+            self.scratch[shard].ni_work.set(self.layout.ni_pos[src]);
+            self.pending.set(shard);
         }
 
         // Phase 3 (parallel over pending shards): drain inbound lanes, step
@@ -848,7 +933,6 @@ impl Simulation {
                 pool: Arc::as_ptr(&self.pool),
                 routers: self.routers.as_mut_ptr(),
                 nis: self.nis.as_mut_ptr(),
-                active: self.active.as_mut_ptr(),
                 now: self.now.as_mut_ptr(),
                 next: self.next.as_mut_ptr(),
                 lanes_now: self.lanes_now.as_mut_ptr(),
@@ -884,7 +968,7 @@ impl Simulation {
         for &s in &self.worklist {
             events |= self.next[s].dest_mask.any();
             self.pending.union_with(&self.next[s].dest_mask);
-            if self.scratch[s].busy {
+            if self.scratch[s].busy() {
                 self.pending.set(s);
             }
         }
@@ -911,21 +995,24 @@ impl Simulation {
         // Phase 4 (serial): completed deliveries feed statistics and the
         // (possibly closed-loop) workload, in ascending node order — the
         // floating-point accumulation order is part of the golden contract.
+        // Only nodes on the delivered mask hold completed packets.
         let Simulation {
             nis,
             stats,
             traffic,
             dist,
+            delivered,
             ..
         } = self;
-        for ni in nis.iter_mut() {
-            for packet in ni.drain_delivered() {
+        for n in delivered.iter() {
+            for packet in nis[n].drain_delivered() {
                 // Minimal routing: actual hops equal the topological minimum.
                 let hops = dist.get(packet.src, packet.dst);
                 stats.on_delivered(&packet, hops);
                 traffic.deliver(cycle, &packet);
             }
         }
+        delivered.clear_all();
 
         self.cycle += 1;
     }
@@ -972,7 +1059,7 @@ impl Simulation {
     /// - every interface is idle (nothing queued, serializing, reassembling
     ///   or awaiting drain);
     /// - every router certifies `is_idle` (the same exact step-is-no-op
-    ///   predicates the active-router worklist relies on).
+    ///   predicates the router worklist relies on).
     fn scan_quiescent(&self) -> bool {
         self.next.iter().all(ShardOutbox::is_empty)
             && self.now.iter().all(ShardOutbox::is_empty)

@@ -171,13 +171,16 @@ impl NetworkInterface {
             && self.delivered.is_empty()
     }
 
-    /// Exact step-is-no-op predicate for the quiescent-shard skip: `step`
-    /// touches only the source queue, the serializing packet and the pending
-    /// ejection credits, so with all three empty a `step` emits nothing and
-    /// changes no state. Weaker than [`is_idle`](Self::is_idle) — reassembly
-    /// and delivered-packet state don't participate in `step` (delivered
-    /// packets are drained serially by the driver every cycle regardless of
-    /// shard skipping).
+    /// Exact step-is-no-op predicate, evaluated by the engine right after
+    /// this interface's own `step` to decide whether it stays on its shard's
+    /// worklist: `step` touches only the source queue, the serializing packet
+    /// and the pending ejection credits, so with all three empty a `step`
+    /// emits nothing and changes no state. Weaker than
+    /// [`is_idle`](Self::is_idle) — reassembly and delivered-packet state
+    /// don't participate in `step` (completed packets are drained by the
+    /// driver in the cycle they complete, through its delivered-node mask).
+    /// Only [`enqueue`](Self::enqueue) and
+    /// [`receive_flit`](Self::receive_flit) can turn it back on.
     pub fn has_step_work(&self) -> bool {
         !self.queue.is_empty()
             || self.current.is_some()
@@ -227,8 +230,9 @@ impl NetworkInterface {
     /// Accepts a flit ejected by the router's local output port. The flit
     /// dies here: its fields are copied out and its pool slot recycled (this
     /// runs in the driver's serial delivery phase, the pool's one free
-    /// point).
-    pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) {
+    /// point). Returns whether the flit completed a packet, which then waits
+    /// in [`drain_delivered`](Self::drain_delivered).
+    pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) -> bool {
         let flit = *self.pool.get(r);
         self.pool.free(r);
         debug_assert_eq!(flit.dst, self.node, "flit ejected at wrong node");
@@ -274,7 +278,9 @@ impl NetworkInterface {
                 injected_at: done.injected_at,
                 delivered_at: cycle,
             });
+            return true;
         }
+        false
     }
 
     /// Accepts an injection credit returned by the router's local input port.
@@ -463,10 +469,16 @@ mod tests {
             pool.alloc_serial(f)
         };
         // Two 2-flit packets interleaved on different VCs.
-        ni.receive_flit(20, mk(1, 0, 2, 0));
-        ni.receive_flit(21, mk(2, 0, 2, 1));
-        ni.receive_flit(22, mk(1, 1, 2, 0));
-        ni.receive_flit(23, mk(2, 1, 2, 1));
+        assert!(!ni.receive_flit(20, mk(1, 0, 2, 0)));
+        assert!(!ni.receive_flit(21, mk(2, 0, 2, 1)));
+        assert!(
+            ni.receive_flit(22, mk(1, 1, 2, 0)),
+            "tail completes packet 1"
+        );
+        assert!(
+            ni.receive_flit(23, mk(2, 1, 2, 1)),
+            "tail completes packet 2"
+        );
         let done: Vec<_> = ni.drain_delivered().collect();
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].id, PacketId::new(1));

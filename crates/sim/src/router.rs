@@ -163,12 +163,17 @@ pub trait RouterModel: Send {
     /// Advances one cycle, pushing outgoing flits and credits into `out`.
     fn step(&mut self, cycle: u64, out: &mut RouterOutputs);
 
-    /// Whether `step` would be a provable no-op this cycle: no buffered or
-    /// staged flits, no in-flight internal state, and no pending state
-    /// transition (e.g. a circuit termination or speculative restore) that
-    /// would fire. The engine skips `step` for routers that are idle and
-    /// received no event this cycle, so an inexact `true` changes simulated
-    /// behaviour; the conservative default keeps every router stepping.
+    /// Whether `step` would be a provable no-op: no buffered or staged
+    /// flits, no in-flight internal state, and no pending state transition
+    /// (e.g. a circuit termination or speculative restore) that would fire.
+    ///
+    /// The engine evaluates this right after the router's own `step` (and
+    /// once when it builds its worklists), not every cycle: a router that
+    /// answers `true` leaves the worklist and is not stepped again until a
+    /// flit or credit reaches it. The answer must therefore stay valid until
+    /// the next `receive_flit`/`receive_credit`, and an inexact `true`
+    /// changes simulated behaviour; the conservative default keeps the
+    /// router stepping every cycle.
     fn is_idle(&self) -> bool {
         false
     }

@@ -1,12 +1,16 @@
 //! Engine edge cases: degenerate run specifications, empty traffic, tiny
-//! topologies, and report consistency.
+//! topologies, report consistency, and which routers the worklist steps.
 
-use noc_base::{NodeId, PacketClass, RoutingPolicy, VaPolicy};
+use noc_base::{Credit, FlitRef, NodeId, PacketClass, PortIndex, RoutingPolicy, VaPolicy};
+use noc_energy::EnergyCounters;
 use noc_sim::test_model::WireRouterFactory;
-use noc_sim::{NetworkConfig, RunSpec, Simulation};
+use noc_sim::{
+    NetworkConfig, RouterBuildContext, RouterFactory, RouterModel, RouterOutputs, RouterStats,
+    RunSpec, Simulation,
+};
 use noc_topology::Mesh;
 use noc_traffic::{PacketRequest, TrafficModel};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct Silence;
 
@@ -156,4 +160,146 @@ fn out_of_range_destination_is_rejected() {
         1,
     );
     let _ = s.run(RunSpec::new(0, 5, 10));
+}
+
+/// What one [`Counted`] router saw.
+#[derive(Default, Debug)]
+struct StepLog {
+    /// `step` calls.
+    steps: u64,
+    /// Steps in a cycle whose only arrivals were credits.
+    credit_only_steps: u64,
+    /// A flit arrived since the last `step`.
+    flit_waiting: bool,
+    /// A credit arrived since the last `step`.
+    credit_waiting: bool,
+}
+
+/// A wire router that logs its steps and the events delivered before each.
+struct Counted {
+    inner: Box<dyn RouterModel>,
+    log: Arc<Mutex<StepLog>>,
+    /// Whether `is_idle` answers from the wrapped router; `false` answers
+    /// `false` always, as the trait's conservative default does.
+    exact_idle: bool,
+}
+
+impl RouterModel for Counted {
+    fn receive_flit(&mut self, in_port: PortIndex, flit: FlitRef) {
+        self.log.lock().unwrap().flit_waiting = true;
+        self.inner.receive_flit(in_port, flit);
+    }
+
+    fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
+        self.log.lock().unwrap().credit_waiting = true;
+        self.inner.receive_credit(out_port, credit);
+    }
+
+    fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
+        let mut log = self.log.lock().unwrap();
+        log.steps += 1;
+        if log.credit_waiting && !log.flit_waiting {
+            log.credit_only_steps += 1;
+        }
+        log.flit_waiting = false;
+        log.credit_waiting = false;
+        self.inner.step(cycle, out);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.exact_idle && self.inner.is_idle()
+    }
+
+    fn stats(&self) -> RouterStats {
+        self.inner.stats()
+    }
+
+    fn energy(&self) -> EnergyCounters {
+        self.inner.energy()
+    }
+}
+
+/// Builds [`Counted`] wire routers and keeps each one's log, by router index.
+struct CountingFactory {
+    exact_idle: bool,
+    logs: Mutex<Vec<Arc<Mutex<StepLog>>>>,
+}
+
+impl CountingFactory {
+    fn new(exact_idle: bool) -> Self {
+        Self {
+            exact_idle,
+            logs: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn logs(&self) -> Vec<Arc<Mutex<StepLog>>> {
+        self.logs.lock().unwrap().clone()
+    }
+}
+
+impl RouterFactory for CountingFactory {
+    fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
+        let log = Arc::new(Mutex::new(StepLog::default()));
+        self.logs.lock().unwrap().push(log.clone());
+        Box::new(Counted {
+            inner: WireRouterFactory::default().build(ctx),
+            log,
+            exact_idle: self.exact_idle,
+        })
+    }
+}
+
+fn counted_sim(
+    traffic: Box<dyn TrafficModel>,
+    exact_idle: bool,
+) -> (Simulation, Vec<Arc<Mutex<StepLog>>>) {
+    let factory = CountingFactory::new(exact_idle);
+    let s = Simulation::new(Arc::new(Mesh::new(2, 2, 1)), config(), traffic, &factory, 1);
+    (s, factory.logs())
+}
+
+#[test]
+fn router_that_never_reports_idle_steps_every_cycle() {
+    let (mut s, logs) = counted_sim(Box::new(Silence), false);
+    for _ in 0..50 {
+        s.step();
+    }
+    for (r, log) in logs.iter().enumerate() {
+        assert_eq!(log.lock().unwrap().steps, 50, "router {r}");
+    }
+}
+
+#[test]
+fn idle_routers_step_only_when_an_event_reaches_them() {
+    for threads in [1, 2] {
+        // One packet 0 -> 1 crosses routers 0 and 1 (XY); routers 2 and 3
+        // receive no event in 60 cycles.
+        let (mut s, logs) = counted_sim(Box::new(Burst { at: 0, count: 1 }), true);
+        s.set_threads(threads);
+        for cycle in 0..60 {
+            s.step();
+            for (r, log) in logs.iter().enumerate() {
+                let log = log.lock().unwrap();
+                assert!(
+                    !log.flit_waiting && !log.credit_waiting,
+                    "threads {threads}: router {r} got an event in cycle {cycle} but did not step"
+                );
+            }
+        }
+        let steps: Vec<u64> = logs.iter().map(|l| l.lock().unwrap().steps).collect();
+        assert!(steps[0] > 0 && steps[1] > 0, "threads {threads}: {steps:?}");
+        assert_eq!(
+            steps[2..],
+            [0, 0],
+            "threads {threads}: untouched routers stepped"
+        );
+        // Router 0 gets router 1's credit back, and router 1 the destination
+        // interface's ejection credit, each after going idle: a lone credit
+        // must schedule the router.
+        for r in [0, 1] {
+            let credit_only = logs[r].lock().unwrap().credit_only_steps;
+            assert!(credit_only > 0, "threads {threads}: router {r}");
+        }
+    }
 }

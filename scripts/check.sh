@@ -40,6 +40,14 @@ echo "==> NOC_THREADS=2 NOC_NO_FASTFWD=1 cargo test -q --test determinism_thread
 NOC_THREADS=2 NOC_NO_FASTFWD=1 cargo test -q --offline \
     --test determinism_threads --test golden_report
 
+# Benchmark pins: nocbench is its own Cargo package (own [workspace]), so no
+# root-level cargo invocation reaches it. Its gate test pins the report hash
+# of all three benchmark workloads — including the 32×32 low-load mesh that
+# none of the goldens covers — and checks that the traced run simulates
+# exactly what the untraced one does.
+echo "==> cargo test --release --manifest-path nocbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path nocbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 

@@ -3,11 +3,15 @@
 
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
+use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, SharedTopology};
-use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic};
+use noc_traffic::{
+    BenchmarkProfile, DeliveredPacket, PacketRequest, SyntheticPattern, SyntheticTraffic,
+    TrafficModel,
+};
 use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use pseudo_circuit::{ExperimentBuilder, PcRouterFactory, Scheme};
+use std::sync::{Arc, Mutex};
 
 fn builder(topo: SharedTopology) -> ExperimentBuilder {
     ExperimentBuilder::new(topo)
@@ -133,4 +137,74 @@ fn multidrop_topology_carries_multiflit_packets() {
         .run(Box::new(traffic));
     assert!(report.drained);
     assert!(report.measured_delivered > 100);
+}
+
+/// Forwards to a synthetic workload and records `(cycle, dst)` for every
+/// delivery the engine reports.
+struct DeliveryLog {
+    inner: SyntheticTraffic,
+    seen: Arc<Mutex<Vec<(u64, usize)>>>,
+}
+
+impl TrafficModel for DeliveryLog {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn generate(&mut self, cycle: u64, sink: &mut dyn FnMut(PacketRequest)) {
+        self.inner.generate(cycle, sink);
+    }
+
+    fn next_injection_cycle(&mut self, from: u64, horizon: u64) -> Option<u64> {
+        self.inner.next_injection_cycle(from, horizon)
+    }
+
+    fn deliver(&mut self, cycle: u64, packet: &DeliveredPacket) {
+        self.seen.lock().unwrap().push((cycle, packet.dst.index()));
+        self.inner.deliver(cycle, packet);
+    }
+}
+
+#[test]
+fn deliveries_within_a_cycle_reach_the_workload_in_ascending_node_order() {
+    for threads in [1, 2] {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let traffic = DeliveryLog {
+            inner: SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 5, 0.30, 13),
+            seen: seen.clone(),
+        };
+        let config = NetworkConfig {
+            routing: RoutingPolicy::Xy,
+            va_policy: VaPolicy::Static,
+            ..NetworkConfig::paper()
+        };
+        let mut sim = Simulation::new(
+            Arc::new(Mesh::new(8, 8, 1)),
+            config,
+            Box::new(traffic),
+            &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+            5,
+        );
+        sim.set_threads(threads);
+        let report = sim.run(RunSpec::new(200, 1_000, 20_000));
+        let seen = seen.lock().unwrap();
+        assert_eq!(
+            seen.len() as u64,
+            report.delivered_packets,
+            "threads {threads}"
+        );
+        let mut shared_cycles = 0;
+        for same_cycle in seen.chunk_by(|a, b| a.0 == b.0) {
+            shared_cycles += usize::from(same_cycle.len() > 1);
+            assert!(
+                same_cycle.windows(2).all(|w| w[0].1 < w[1].1),
+                "threads {threads}: cycle {} delivered out of node order: {same_cycle:?}",
+                same_cycle[0].0
+            );
+        }
+        assert!(
+            shared_cycles > 0,
+            "threads {threads}: no cycle completed two packets"
+        );
+    }
 }
