@@ -15,8 +15,9 @@
 //!   network interfaces and the routers ([`RouteMode`], [`RoutingPolicy`],
 //!   [`VaPolicy`], [`VcPartition`]);
 //! - word-packed bitsets and the bit-parallel round-robin arbiter built on
-//!   them ([`bitset::WordMask`], [`bitset::BitArbiter`]) — the request-vector
-//!   representation of the router pipeline's hot path;
+//!   them ([`bitset::MaskRows`], [`bitset::WordMask`], [`bitset::BitArbiter`])
+//!   — the flat `u64` request and candidate masks of the router pipeline's
+//!   hot path;
 //! - a small deterministic PRNG ([`rng::Pcg32`]) plus a seed-stream splitter
 //!   ([`rng::SeedStream`]) so that every experiment in the reproduction is
 //!   bit-for-bit repeatable regardless of external crate versions;
@@ -47,7 +48,7 @@ pub mod rng;
 pub mod sync;
 
 pub use arena::{FlitPool, FlitRef};
-pub use bitset::{BitArbiter, WordMask};
+pub use bitset::{BitArbiter, MaskRows, WordMask};
 pub use flit::{Credit, Flit, FlitKind, PacketClass, PacketDescriptor, RouteInfo};
 pub use geom::Coord;
 pub use ids::{NodeId, PacketId, PortIndex, RouterId, VcIndex};

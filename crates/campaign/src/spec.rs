@@ -35,6 +35,7 @@
 use crate::value::{parse_json, parse_toml, Value};
 use crate::Error;
 use noc_base::{RoutingPolicy, VaPolicy};
+use noc_sim::NetworkConfig;
 use pseudo_circuit::Scheme;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -389,7 +390,10 @@ impl CampaignSpec {
                         .map(|s| parse_va(s))
                         .collect::<Result<_, _>>()?
                 }
-                "vcs" => axes.vcs = ints(key, value, 1, u8::MAX as u64)?,
+                "vcs" => {
+                    let max = NetworkConfig::MAX_VCS_PER_PORT.into();
+                    axes.vcs = ints(key, value, 1, max)?;
+                }
                 "buffer" => axes.buffer = ints(key, value, 1, u32::MAX as u64)?,
                 "packet" => axes.packet = ints(key, value, 1, u16::MAX as u64)?,
                 "seed" => axes.seed = ints(key, value, 0, u64::MAX)?,
@@ -638,7 +642,8 @@ load = [0.05, 0.1]
             ("[axes]\nscheme = \"warp\"\n", "unknown scheme"),
             ("[axes]\nrouting = \"zigzag\"\n", "unknown routing"),
             ("[axes]\nva = \"psychic\"\n", "unknown VA"),
-            ("[axes]\nvcs = 0\n", "[1, 255]"),
+            ("[axes]\nvcs = 0\n", "[1, 64]"),
+            ("[axes]\nvcs = 65\n", "[1, 64]"),
             ("[axes]\nvcs = \"four\"\n", "integers"),
             ("[phases]\nmidgame = 5\n", "unknown phases"),
             (

@@ -115,13 +115,13 @@ impl PcHooks {
                 continue; // reuse only drains buffered flits
             }
             let in_port = PortIndex::new(in_port);
-            if k.in_busy[in_port.index()] {
+            if k.in_busy(in_port) {
                 continue;
             }
             let Some(pc) = self.pcu.live(in_port) else {
                 continue;
             };
-            if k.out_busy[pc.out_port.index()] {
+            if k.out_busy(pc.out_port) {
                 continue;
             }
             let vc = pc.in_vc;
@@ -181,13 +181,13 @@ impl PcHooks {
         r: FlitRef,
         out: &mut RouterOutputs,
     ) -> bool {
-        if !self.scheme.buffer_bypass || k.in_busy[in_port.index()] {
+        if !self.scheme.buffer_bypass || k.in_busy(in_port) {
             return false;
         }
         let Some(pc) = self.pcu.live(in_port) else {
             return false;
         };
-        if k.out_busy[pc.out_port.index()] {
+        if k.out_busy(pc.out_port) {
             return false;
         }
         let (vc, kind, flit_route, class, dst) = {

@@ -75,7 +75,7 @@ impl EvcHooks {
         r: FlitRef,
         out: &mut RouterOutputs,
     ) -> bool {
-        if k.in_busy[in_port.index()] {
+        if k.in_busy(in_port) {
             return false;
         }
         let (express_hops, route, vc, kind) = {
@@ -85,7 +85,7 @@ impl EvcHooks {
         if express_hops == 0 {
             return false;
         }
-        if route.port.index() < k.concentration || k.out_busy[route.port.index()] {
+        if route.port.index() < k.concentration || k.out_busy(route.port) {
             return false;
         }
         debug_assert!(self.is_evc(vc), "express flit on a normal VC");

@@ -128,13 +128,13 @@ impl HybridHooks {
                 continue; // reuse only drains buffered flits
             }
             let in_port = PortIndex::new(in_port);
-            if k.in_busy[in_port.index()] {
+            if k.in_busy(in_port) {
                 continue;
             }
             let Some(pc) = self.pcu.live(in_port) else {
                 continue;
             };
-            if k.out_busy[pc.out_port.index()] {
+            if k.out_busy(pc.out_port) {
                 continue;
             }
             let vc = pc.in_vc;

@@ -1,12 +1,13 @@
 //! Reusable router microarchitecture building blocks.
 //!
-//! The pseudo-circuit router (`pseudo-circuit` crate) and the EVC comparison
-//! router (`noc-evc` crate) are assembled from the same primitives: a bank of
-//! bounded ring-buffer FIFOs with pipeline-stage readiness ([`FifoBank`]),
-//! round-robin arbiters, per-channel credit books, and output-VC allocation
-//! state.
+//! The shared pipeline kernel keeps every input-VC buffer of a router in a
+//! bank of bounded ring-buffer FIFOs with pipeline-stage readiness
+//! ([`FifoBank`]); network interfaces track their injection channel's
+//! downstream credits in per-channel credit books ([`CreditBook`]). The
+//! round-robin arbiters are word-level bitset arbiters in
+//! [`noc_base::bitset`].
 
-use noc_base::{FlitRef, PortIndex, VcIndex};
+use noc_base::{FlitRef, VcIndex};
 use std::error::Error;
 use std::fmt;
 
@@ -183,60 +184,6 @@ impl FifoBank {
     }
 }
 
-/// A work-conserving round-robin arbiter over `n` requesters.
-#[derive(Clone, Debug)]
-pub struct RrArbiter {
-    next: usize,
-    n: usize,
-}
-
-impl RrArbiter {
-    /// Creates an arbiter over `n` requesters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one requester");
-        Self { next: 0, n }
-    }
-
-    /// Grants one of the requesting indices (where `requests[i]` is true),
-    /// rotating priority so the winner moves to lowest priority.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != n`.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        for offset in 0..self.n {
-            let i = (self.next + offset) % self.n;
-            if requests[i] {
-                self.next = (i + 1) % self.n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; arbiters are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The rotating-priority pointer. `RrArbiter` is the behavioural
-    /// reference for [`noc_base::BitArbiter`]; the equivalence property
-    /// tests compare this state, not just the grant sequences.
-    pub fn pointer(&self) -> usize {
-        self.next
-    }
-}
-
 /// Per-output-channel credit counters: one counter per (drop position, VC).
 ///
 /// `sub` indexes the drop position of a multidrop channel (always 0 for
@@ -330,57 +277,6 @@ impl CreditBook {
     }
 }
 
-/// Output-VC allocation state for one output port: which (input port, input
-/// VC) currently owns each output VC.
-#[derive(Clone, Debug)]
-pub struct OutputVcAlloc {
-    owners: Vec<Option<(PortIndex, VcIndex)>>,
-}
-
-impl OutputVcAlloc {
-    /// Creates state for `vcs` output VCs, all free.
-    pub fn new(vcs: usize) -> Self {
-        Self {
-            owners: vec![None; vcs],
-        }
-    }
-
-    /// Whether `vc` is unallocated.
-    pub fn is_free(&self, vc: VcIndex) -> bool {
-        self.owners[vc.index()].is_none()
-    }
-
-    /// The (input port, input VC) holding `vc`, if any.
-    pub fn owner(&self, vc: VcIndex) -> Option<(PortIndex, VcIndex)> {
-        self.owners[vc.index()]
-    }
-
-    /// Allocates `vc` to an input VC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is already allocated.
-    pub fn allocate(&mut self, vc: VcIndex, owner: (PortIndex, VcIndex)) {
-        assert!(self.is_free(vc), "output {vc} already allocated");
-        self.owners[vc.index()] = Some(owner);
-    }
-
-    /// Frees `vc` (idempotent).
-    pub fn free(&mut self, vc: VcIndex) {
-        self.owners[vc.index()] = None;
-    }
-
-    /// Number of output VCs.
-    pub fn len(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// Whether there are zero VCs.
-    pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,23 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn arbiter_is_round_robin_fair() {
-        let mut a = RrArbiter::new(3);
-        let all = [true, true, true];
-        let grants: Vec<usize> = (0..6).map(|_| a.grant(&all).unwrap()).collect();
-        assert_eq!(grants, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn arbiter_skips_idle_requesters() {
-        let mut a = RrArbiter::new(4);
-        assert_eq!(a.grant(&[false, false, true, false]), Some(2));
-        // Priority rotates past the winner.
-        assert_eq!(a.grant(&[true, false, true, false]), Some(0));
-        assert_eq!(a.grant(&[false, false, false, false]), None);
-    }
-
-    #[test]
     fn credit_book_consume_refill_roundtrip() {
         let mut b = CreditBook::new(2, 4, 4);
         assert_eq!(b.available(1, VcIndex::new(3)), 4);
@@ -491,26 +370,5 @@ mod tests {
         assert_eq!(b.available(0, VcIndex::new(0)), 0);
         assert_eq!(b.total_available(), 0);
         assert_eq!(b.available_at_sub(0), 0);
-    }
-
-    #[test]
-    fn output_vc_allocation_lifecycle() {
-        let mut a = OutputVcAlloc::new(4);
-        let vc = VcIndex::new(2);
-        assert!(a.is_free(vc));
-        a.allocate(vc, (PortIndex::new(1), VcIndex::new(0)));
-        assert!(!a.is_free(vc));
-        assert_eq!(a.owner(vc), Some((PortIndex::new(1), VcIndex::new(0))));
-        a.free(vc);
-        assert!(a.is_free(vc));
-        a.free(vc); // idempotent
-    }
-
-    #[test]
-    #[should_panic(expected = "already allocated")]
-    fn double_allocation_is_a_bug() {
-        let mut a = OutputVcAlloc::new(1);
-        a.allocate(VcIndex::new(0), (PortIndex::new(0), VcIndex::new(0)));
-        a.allocate(VcIndex::new(0), (PortIndex::new(1), VcIndex::new(1)));
     }
 }

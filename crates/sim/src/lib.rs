@@ -89,6 +89,11 @@ pub struct NetworkConfig {
 }
 
 impl NetworkConfig {
+    /// The most virtual channels per port the router kernel supports: each
+    /// input port keeps its VCs' switch-allocation masks in one 64-bit word
+    /// (DESIGN.md §14). Front ends reject larger values up front.
+    pub const MAX_VCS_PER_PORT: u8 = 64;
+
     /// The paper's configuration: 4 VCs × 4-flit buffers, O1TURN routing with
     /// dynamic VC allocation (the strongest baseline per §VI.A).
     pub fn paper() -> Self {

@@ -11,7 +11,7 @@
 //!
 //! [`PipelineKernel`] owns everything the paper's schemes have in common:
 //! input-VC state, output-port credit books and VC allocation, the separable
-//! round-robin VA and SA allocators with their per-port occupancy skip,
+//! round-robin VA and SA allocators over word-resident request masks,
 //! ST-grant queues, the zero-allocation scratch storage, and the full
 //! stats/energy/metrics/trace plumbing. A scheme plugs in through
 //! [`SchemeHooks`]: the pseudo-circuit router (`pseudo-circuit` crate)
@@ -25,13 +25,40 @@
 //! Per-VC and per-output-VC state is stored in flat parallel arrays indexed
 //! by `in_port * vcs + vc` (and `out_port * vcs + vc` on the output side),
 //! not in nested per-port structs: the VA/SA mask loops re-check candidates
-//! by walking set bits of word-packed masks whose bit positions ARE those
-//! slot indices, so each re-check is a couple of contiguous array loads
-//! instead of two pointer chases. The layout is private; scheme hooks go
-//! through the accessor methods (`input_route`, `claim_input_vc`,
-//! `credits_available`, `claim_out_vc`, …), which also keep the incremental
-//! candidate masks coherent. Behavioral equivalence with the pre-SoA kernel
-//! is pinned by the byte-identical golden reports under `tests/golden/`.
+//! by walking set bits of masks whose bit positions ARE those slot indices,
+//! so each re-check is a couple of contiguous array loads instead of two
+//! pointer chases. The layout is private; scheme hooks go through the
+//! accessor methods (`input_route`, `claim_input_vc`, `credits_available`,
+//! `claim_out_vc`, `in_busy`, …), which also keep the incremental candidate
+//! masks coherent. Behavioral equivalence with the pre-SoA kernel is pinned
+//! by the byte-identical golden reports under `tests/golden/`.
+//!
+//! # Word-resident allocator masks (DESIGN.md §14)
+//!
+//! Every allocator mask is flat `u64` word storage (`noc_base::bitset`), bit
+//! `i` in word `i / 64`:
+//!
+//! | mask | positions | words |
+//! |------|-----------|-------|
+//! | `va_cand`, each `va_req` row | `in_ports * vcs` slots | `ceil(slots / 64)` |
+//! | `sa_cand`, `sa_credit`, first-stage SA requests | one port's VCs | 1 (`vcs ≤ 64`) |
+//! | each `sa_out_*` row | input ports | `ceil(in_ports / 64)` |
+//! | `va_out_pending`, `sa_out_pending`, `out_busy` | output ports | `ceil(out_ports / 64)` |
+//! | `in_busy` | input ports | `ceil(in_ports / 64)` |
+//!
+//! A per-port family (`va_req`, `sa_out_*`) is one `MaskRows` allocation,
+//! one row per output port; the per-port VC masks are one `u64` per port,
+//! and the first-stage SA requests are two `u64` locals. On every router
+//! whose masks fit 64 positions — every mesh, CMesh, ring, and the paper's
+//! MECS and flattened butterfly at 4 VCs — each mask is a single word: a
+//! scan reads one `u64` out of a contiguous array and a grant is one
+//! rotate-and-count-trailing-zeros ([`BitArbiter::grant_word`]). Wider
+//! routers run the same scans and [`BitArbiter::grant`] over more words;
+//! there is no second kernel path. [`NetworkConfig::MAX_VCS_PER_PORT`]
+//! bounds the one dimension the layout fixes, and the CLI and campaign front
+//! ends reject larger VC counts before a simulation is built.
+//! `tests/wide_masks.rs` pins reports of routers whose masks span two and
+//! three words.
 
 use crate::blocks::FifoBank;
 use crate::metrics::RouterObservation;
@@ -39,7 +66,8 @@ use crate::metrics::{MetricsConfig, MetricsLevel, PipelineStage, TraceEventKind,
 use crate::probe::{Probe, RouterCounters};
 use crate::router::{RouterOutputs, RouterStats, SentFlit};
 use crate::{lookahead_route, NetworkConfig};
-use noc_base::{BitArbiter, WordMask};
+use noc_base::bitset::{any_bit, assign_bit, clear_bit, clear_words, set_bit, test_bit, words_for};
+use noc_base::{BitArbiter, MaskRows};
 use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_energy::{EnergyCounters, EnergyEvent};
 use noc_topology::SharedTopology;
@@ -150,10 +178,6 @@ pub struct PipelineKernel {
     pub topo: SharedTopology,
     /// Local (injection/ejection) ports per router.
     pub concentration: usize,
-    /// Whether each input port's crossbar connection is taken this cycle.
-    pub in_busy: Vec<bool>,
-    /// Whether each output port's crossbar connection is taken this cycle.
-    pub out_busy: Vec<bool>,
     /// Buffered flits per input port across all its VCs; lets the VA/SA
     /// scans and scheme hooks skip empty ports without touching their VC
     /// state (every candidate in those scans requires a buffered flit).
@@ -175,6 +199,10 @@ pub struct PipelineKernel {
     vcs: usize,
     in_ports: usize,
     out_ports: usize,
+    // Crossbar connections taken this cycle, one bit per input / output
+    // port (read through `in_busy` / `out_busy`).
+    in_busy: Vec<u64>,
+    out_busy: Vec<u64>,
     // The shared flit slab; buffers and emissions move `FlitRef`s, flit
     // bodies are read/written in place through the pool.
     pool: Arc<FlitPool>,
@@ -224,46 +252,52 @@ pub struct PipelineKernel {
     in_arb: Vec<BitArbiter>,
     va_arb: Vec<BitArbiter>,
     out_arb: Vec<BitArbiter>,
-    // Incremental candidate masks (DESIGN.md §14). Maintained by
-    // `refresh_vc_masks` at every VC state transition, NOT rebuilt per
-    // cycle; the VA/SA scans iterate only their set bits. A stale bit here
-    // is a correctness bug (a candidate the allocators never see), which is
-    // why all writes to the tracked fields funnel through the kernel helpers
-    // and claim/release accessors.
+    // Allocator masks (DESIGN.md §14), all flat word storage: a mask over
+    // ≤ 64 positions is one `u64`, a per-port family is one `MaskRows`
+    // allocation, and wider routers use the same code over more words.
     //
-    // Bit `in_port * vcs + vc`: the VC holds flits and no route/output VC —
-    // it may request VA once its head is ready.
-    va_cand: WordMask,
-    // Per input port, bit `vc`: the VC holds flits, has route + output VC,
-    // and is not an express pass-through claim — it may request SA.
-    sa_cand: Vec<WordMask>,
-    // Per input port, bit `vc`: the claimed VC's gating credit counter
-    // `(route.port, route.hops-1, out_vc)` is nonzero. Maintained exactly:
-    // `refresh_vc_masks` recomputes it on every VC state transition and
-    // `note_credit_gate` propagates every 0↔1 transition of a counter to
-    // its owner's bit, so the SA scan can AND it with `sa_cand` and skip
+    // The candidate masks are maintained incrementally — by
+    // `refresh_vc_masks` at every VC state transition, NOT rebuilt per
+    // cycle; the VA/SA scans visit only their set bits. A stale bit here is
+    // a correctness bug (a candidate the allocators never see), which is why
+    // all writes to the tracked fields funnel through the kernel helpers and
+    // claim/release accessors.
+    //
+    // Bit `in_port * vcs + vc` (`words_for(in_ports * vcs)` words): the VC
+    // holds flits and no route/output VC — it may request VA once its head
+    // is ready.
+    va_cand: Vec<u64>,
+    // One word per input port, bit `vc` (the config bounds `vcs` to one
+    // word): the VC holds flits, has route + output VC, and is not an
+    // express pass-through claim — it may request SA.
+    sa_cand: Vec<u64>,
+    // One word per input port, bit `vc`: the claimed VC's gating credit
+    // counter `(route.port, route.hops-1, out_vc)` is nonzero. Maintained
+    // exactly: `refresh_credit_gate` recomputes it at every claim/release
+    // and `note_credit_gate` propagates every 0↔1 transition of a counter to
+    // its owner's bit, so the SA scan ANDs it with `sa_cand` and skips
     // credit-starved VCs without visiting them — at saturation most
     // candidates are credit-blocked every cycle, which is exactly when the
-    // scan is longest. Bits of unclaimed VCs are clear (never read: the
-    // AND with `sa_cand` masks them out).
-    sa_credit: Vec<WordMask>,
+    // scan is longest. Bits of unclaimed VCs are clear (never read: the AND
+    // with `sa_cand` masks them out).
+    sa_credit: Vec<u64>,
     // Reusable per-cycle working storage, so `step` never allocates once the
     // queues reach steady-state capacity.
     st_scratch: Vec<StGrant>,
     arrivals_scratch: Vec<(PortIndex, FlitRef)>,
-    // Per output port, this cycle's VA request mask over `in_ports * vcs`
-    // flattened slots, plus the mask of output ports with any request.
-    va_req: Vec<WordMask>,
-    va_out_pending: WordMask,
+    // One row per output port: this cycle's VA requests over the
+    // `in_ports * vcs` flattened slots; plus the mask of output ports with
+    // any request. All clear between cycles.
+    va_req: MaskRows,
+    va_out_pending: Vec<u64>,
     sa_winners: Vec<Option<(VcIndex, RouteInfo, VcIndex, bool)>>,
     sa_picks: Vec<(PortIndex, VcIndex, RouteInfo, VcIndex)>,
-    sa_vc_nonspec: WordMask,
-    sa_vc_spec: WordMask,
-    // Per output port, this cycle's second-stage SA request masks over input
-    // ports, plus the mask of output ports with any first-stage winner.
-    sa_out_nonspec: Vec<WordMask>,
-    sa_out_spec: Vec<WordMask>,
-    sa_out_pending: WordMask,
+    // One row per output port: this cycle's second-stage SA requests over
+    // input ports, split non-speculative / speculative; plus the mask of
+    // output ports with any first-stage winner. All clear between cycles.
+    sa_out_nonspec: MaskRows,
+    sa_out_spec: MaskRows,
+    sa_out_pending: Vec<u64>,
 }
 
 impl PipelineKernel {
@@ -281,6 +315,11 @@ impl PipelineKernel {
         let in_ports = topo.in_ports(id);
         let out_ports = topo.out_ports(id);
         let vcs = config.vcs_per_port as usize;
+        assert!(
+            (1..=NetworkConfig::MAX_VCS_PER_PORT).contains(&config.vcs_per_port),
+            "vcs_per_port {vcs} outside 1..={} (one allocator mask word per port)",
+            NetworkConfig::MAX_VCS_PER_PORT
+        );
         let slots = in_ports * vcs;
         // Per-port credit regions: `channel_len` sub-channels × `vcs`
         // counters each, laid out back to back in output-port order.
@@ -297,8 +336,6 @@ impl PipelineKernel {
             topo,
             // All per-cycle queues are reserved to their structural maxima so
             // steady-state stepping never allocates (tests/zero_alloc.rs).
-            in_busy: vec![false; in_ports],
-            out_busy: vec![false; out_ports],
             in_occupancy: vec![0; in_ports],
             stats: RouterStats::default(),
             energy: EnergyCounters::default(),
@@ -308,6 +345,8 @@ impl PipelineKernel {
             vcs,
             in_ports,
             out_ports,
+            in_busy: vec![0; words_for(in_ports)],
+            out_busy: vec![0; words_for(out_ports)],
             pool,
             bank: FifoBank::new(slots, config.buffer_depth as usize),
             routes: vec![None; slots],
@@ -328,22 +367,18 @@ impl PipelineKernel {
                 .map(|_| BitArbiter::new(in_ports * vcs))
                 .collect(),
             out_arb: (0..out_ports).map(|_| BitArbiter::new(in_ports)).collect(),
-            va_cand: WordMask::new(in_ports * vcs),
-            sa_cand: (0..in_ports).map(|_| WordMask::new(vcs)).collect(),
-            sa_credit: (0..in_ports).map(|_| WordMask::new(vcs)).collect(),
+            va_cand: vec![0; words_for(slots)],
+            sa_cand: vec![0; in_ports],
+            sa_credit: vec![0; in_ports],
             st_scratch: Vec::with_capacity(in_ports),
             arrivals_scratch: Vec::with_capacity(in_ports),
-            va_req: (0..out_ports)
-                .map(|_| WordMask::new(in_ports * vcs))
-                .collect(),
-            va_out_pending: WordMask::new(out_ports),
+            va_req: MaskRows::new(out_ports, slots),
+            va_out_pending: vec![0; words_for(out_ports)],
             sa_winners: vec![None; in_ports],
             sa_picks: Vec::with_capacity(out_ports),
-            sa_vc_nonspec: WordMask::new(vcs),
-            sa_vc_spec: WordMask::new(vcs),
-            sa_out_nonspec: (0..out_ports).map(|_| WordMask::new(in_ports)).collect(),
-            sa_out_spec: (0..out_ports).map(|_| WordMask::new(in_ports)).collect(),
-            sa_out_pending: WordMask::new(out_ports),
+            sa_out_nonspec: MaskRows::new(out_ports, in_ports),
+            sa_out_spec: MaskRows::new(out_ports, in_ports),
+            sa_out_pending: vec![0; words_for(out_ports)],
         }
     }
 
@@ -385,9 +420,12 @@ impl PipelineKernel {
         let has_flits = !self.bank.is_empty(slot);
         let claimed = self.routes[slot].is_some() && self.out_vcs[slot].is_some();
         let unclaimed = self.routes[slot].is_none() && self.out_vcs[slot].is_none();
-        self.va_cand.assign(slot, has_flits && unclaimed);
-        self.sa_cand[in_port.index()]
-            .assign(vc.index(), has_flits && claimed && !self.pass_through[slot]);
+        assign_bit(&mut self.va_cand, slot, has_flits && unclaimed);
+        assign_vc_bit(
+            &mut self.sa_cand[in_port.index()],
+            vc,
+            has_flits && claimed && !self.pass_through[slot],
+        );
     }
 
     /// Recomputes the [`sa_credit`](Self::sa_credit) bit of `(in_port, vc)`
@@ -404,7 +442,19 @@ impl PipelineKernel {
             }
             _ => false,
         };
-        self.sa_credit[in_port.index()].assign(vc.index(), credit_ok);
+        assign_vc_bit(&mut self.sa_credit[in_port.index()], vc, credit_ok);
+    }
+
+    /// Whether input port `port`'s crossbar connection is taken this cycle.
+    #[inline]
+    pub fn in_busy(&self, port: PortIndex) -> bool {
+        test_bit(&self.in_busy, port.index())
+    }
+
+    /// Whether output port `port`'s crossbar connection is taken this cycle.
+    #[inline]
+    pub fn out_busy(&self, port: PortIndex) -> bool {
+        test_bit(&self.out_busy, port.index())
     }
 
     /// Virtual channels per port.
@@ -512,7 +562,7 @@ impl PipelineKernel {
         self.express[slot] = 0;
         self.pass_through[slot] = false;
         self.refresh_vc_masks(in_port, vc);
-        self.sa_credit[in_port.index()].clear(vc.index());
+        assign_vc_bit(&mut self.sa_credit[in_port.index()], vc, false);
     }
 
     /// Whether output VC `(out_port, vc)` is unallocated.
@@ -586,7 +636,7 @@ impl PipelineKernel {
             return; // output VC claimed, input-side claim not stored yet
         };
         if route.port == out_port && out_vc == vc && route.hops as usize - 1 == sub {
-            self.sa_credit[ip.index()].assign(ivc.index(), avail);
+            assign_vc_bit(&mut self.sa_credit[ip.index()], ivc, avail);
         }
     }
 
@@ -700,8 +750,8 @@ impl PipelineKernel {
         if let Some(p) = self.counters.as_deref_mut() {
             p.on_traversal(in_port);
         }
-        self.in_busy[in_port.index()] = true;
-        self.out_busy[route.port.index()] = true;
+        set_bit(&mut self.in_busy, in_port.index());
+        set_bit(&mut self.out_busy, route.port.index());
 
         let lookahead = (route.port.index() >= self.concentration).then(|| {
             let slot = self.out_slot(route.port, out_vc);
@@ -768,7 +818,7 @@ impl PipelineKernel {
             self.va_cycles[slot] = u64::MAX;
             self.express[slot] = 0;
             self.release_out_vc(route.port, out_vc);
-            self.sa_credit[in_port.index()].clear(vc.index());
+            assign_vc_bit(&mut self.sa_credit[in_port.index()], vc, false);
         }
         self.refresh_vc_masks(in_port, vc);
         if reuse {
@@ -823,8 +873,8 @@ impl PipelineKernel {
     /// Runs one cycle of the shared pipeline, dispatching to `hooks` at each
     /// scheme extension point (see [`SchemeHooks`] for the phase order).
     pub fn step<H: SchemeHooks>(&mut self, hooks: &mut H, cycle: u64, out: &mut RouterOutputs) {
-        self.in_busy.fill(false);
-        self.out_busy.fill(false);
+        clear_words(&mut self.in_busy);
+        clear_words(&mut self.out_busy);
 
         hooks.begin_cycle(self, cycle);
 
@@ -890,12 +940,12 @@ impl PipelineKernel {
         // the stable part of the predicate (buffered flits, no route, no
         // output VC) is the mask invariant itself. The mask's bit index IS
         // the SoA slot, so each re-check is a handful of flat array loads.
-        debug_assert!(!self.va_out_pending.any());
-        debug_assert!(self.va_req.iter().all(|r| !r.any()));
-        for wi in 0..self.va_cand.num_words() {
+        debug_assert!(!any_bit(&self.va_out_pending));
+        debug_assert!((0..self.out_ports).all(|p| !any_bit(self.va_req.row(p))));
+        for wi in 0..self.va_cand.len() {
             // Word copied out so no borrow of the mask is held while the
             // request masks are written.
-            let mut word = self.va_cand.word(wi);
+            let mut word = self.va_cand[wi];
             while word != 0 {
                 let slot = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
@@ -913,22 +963,26 @@ impl PipelineKernel {
                     continue;
                 }
                 let out_port = head.route.port.index();
-                self.va_req[out_port].set(slot);
-                self.va_out_pending.set(out_port);
+                set_bit(self.va_req.row_mut(out_port), slot);
+                set_bit(&mut self.va_out_pending, out_port);
             }
         }
         // Taken out of `self` so the grant loop can hand `&mut self` to the
-        // scheme hook; the masks keep their storage (`Vec::new` does not
-        // allocate, and the buffer is restored below).
+        // scheme hook; the rows keep their storage (the default `MaskRows`
+        // does not allocate, and the buffer is restored below).
         let mut requests = std::mem::take(&mut self.va_req);
-        for wi in 0..self.va_out_pending.num_words() {
-            let mut word = self.va_out_pending.word(wi);
+        for wi in 0..self.va_out_pending.len() {
+            // Taken, not copied: the pending mask is clear again once every
+            // port in it has been served.
+            let mut word = std::mem::take(&mut self.va_out_pending[wi]);
             while word != 0 {
                 let out_port = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                // Round-robin over the flattened (input port, VC) space.
-                while let Some(slot) = self.va_arb[out_port].grant(&requests[out_port]) {
-                    requests[out_port].clear(slot);
+                // Round-robin over the flattened (input port, VC) space,
+                // until every request on this port is granted or declined.
+                let row = requests.row_mut(out_port);
+                while let Some(slot) = self.va_arb[out_port].grant(row) {
+                    clear_bit(row, slot);
                     let in_port = PortIndex::new(slot / vcs);
                     let vc = VcIndex::new(slot % vcs);
                     let flit = *self.pool.get(
@@ -955,7 +1009,6 @@ impl PipelineKernel {
             }
         }
         self.va_req = requests;
-        self.va_out_pending.clear_all();
     }
 
     /// Separable switch arbitration. Non-speculative requests (VC held
@@ -963,62 +1016,58 @@ impl PipelineKernel {
     /// Dally HPCA 2001). Grants reserve a credit, traverse next cycle, and
     /// fire [`SchemeHooks::on_sa_grant`].
     fn arbitrate_switch<H: SchemeHooks>(&mut self, hooks: &mut H, cycle: u64) {
-        // Input-first stage: one winning VC per input port. Only ports with
-        // SA-eligible VCs (per the incremental eligibility masks) are
-        // visited, and within a port only the set bits; the per-cycle
-        // conditions — ready head, scheme skip, downstream credit — are the
-        // only ones re-checked per bit, against the flat SoA arrays.
+        // Input-first stage: one winning VC per input port. Each port's
+        // candidates are one word — SA-eligible VCs (`sa_cand`) ANDed with
+        // the credit gate (`sa_credit`), so credit-starved VCs are never
+        // visited and a port with no survivor is skipped (an empty request
+        // word grants nothing and leaves the arbiter's pointer put). Only
+        // the per-cycle conditions — ready head, scheme skip — are
+        // re-checked per bit, against the flat SoA arrays, plus the credit
+        // re-check that cross-checks the gate.
         self.sa_winners.fill(None);
-        debug_assert!(!self.sa_out_pending.any());
+        debug_assert!(!any_bit(&self.sa_out_pending));
         for in_port in 0..self.in_ports {
-            if !self.sa_cand[in_port].any() {
-                continue; // every SA candidate needs a buffered flit
+            let mut word = self.sa_cand[in_port] & self.sa_credit[in_port];
+            if word == 0 {
+                continue;
             }
             let in_port_i = PortIndex::new(in_port);
-            self.sa_vc_nonspec.clear_all();
-            self.sa_vc_spec.clear_all();
-            for wi in 0..self.sa_cand[in_port].num_words() {
-                // Credit-starved VCs are masked out of the scan entirely
-                // (their bit tracks the gating counter exactly); the per-bit
-                // credit re-check below is the cross-checked safety net.
-                let mut word = self.sa_cand[in_port].word(wi) & self.sa_credit[in_port].word(wi);
-                while word != 0 {
-                    let vc = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let slot = in_port * self.vcs + vc;
-                    debug_assert!(
-                        !self.bank.is_empty(slot) && !self.pass_through[slot],
-                        "stale SA candidate bit (missed refresh_vc_masks)"
-                    );
-                    let (Some(route), Some(out_vc)) = (self.routes[slot], self.out_vcs[slot])
-                    else {
-                        unreachable!("SA candidate bit requires route and output VC")
-                    };
-                    if self.bank.head_ready(slot, cycle).is_none() {
-                        continue;
-                    }
-                    if hooks.sa_skip(in_port_i, VcIndex::new(vc), route) {
-                        continue;
-                    }
-                    let sub = route.hops as usize - 1;
-                    if self.credits_available(route.port, sub, out_vc) == 0 {
-                        debug_assert!(false, "stale SA credit bit (missed note_credit_gate)");
-                        continue;
-                    }
-                    if self.va_cycles[slot] == cycle {
-                        self.sa_vc_spec.set(vc);
-                    } else {
-                        self.sa_vc_nonspec.set(vc);
-                    }
+            // This port's first-stage requests, by VC.
+            let mut nonspec = 0u64;
+            let mut spec = 0u64;
+            while word != 0 {
+                let vc = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let slot = in_port * self.vcs + vc;
+                debug_assert!(
+                    !self.bank.is_empty(slot) && !self.pass_through[slot],
+                    "stale SA candidate bit (missed refresh_vc_masks)"
+                );
+                let (Some(route), Some(out_vc)) = (self.routes[slot], self.out_vcs[slot]) else {
+                    unreachable!("SA candidate bit requires route and output VC")
+                };
+                if self.bank.head_ready(slot, cycle).is_none() {
+                    continue;
+                }
+                if hooks.sa_skip(in_port_i, VcIndex::new(vc), route) {
+                    continue;
+                }
+                let sub = route.hops as usize - 1;
+                if self.credits_available(route.port, sub, out_vc) == 0 {
+                    debug_assert!(false, "stale SA credit bit (missed note_credit_gate)");
+                    continue;
+                }
+                if self.va_cycles[slot] == cycle {
+                    spec |= 1 << vc;
+                } else {
+                    nonspec |= 1 << vc;
                 }
             }
-            let pick = if self.sa_vc_nonspec.any() {
-                self.in_arb[in_port].grant(&self.sa_vc_nonspec)
-            } else {
-                self.in_arb[in_port].grant(&self.sa_vc_spec)
-            };
+            // Non-speculative requests win; the speculative set is only
+            // arbitrated when there are none.
+            let speculative = nonspec == 0;
+            let pick = self.in_arb[in_port].grant_word(if speculative { spec } else { nonspec });
             if let Some(vc) = pick {
-                let speculative = self.sa_vc_spec.get(vc);
                 let slot = in_port * self.vcs + vc;
                 let route = self.routes[slot].expect("winner has route");
                 self.sa_winners[in_port] = Some((
@@ -1029,11 +1078,11 @@ impl PipelineKernel {
                 ));
                 let out_port = route.port.index();
                 if speculative {
-                    self.sa_out_spec[out_port].set(in_port);
+                    set_bit(self.sa_out_spec.row_mut(out_port), in_port);
                 } else {
-                    self.sa_out_nonspec[out_port].set(in_port);
+                    set_bit(self.sa_out_nonspec.row_mut(out_port), in_port);
                 }
-                self.sa_out_pending.set(out_port);
+                set_bit(&mut self.sa_out_pending, out_port);
             }
         }
         // Output stage: one winner per output port, non-speculative first.
@@ -1044,26 +1093,26 @@ impl PipelineKernel {
         // first-stage winner are visited.
         debug_assert!(self.sa_picks.is_empty());
         let mut picks = std::mem::take(&mut self.sa_picks);
-        for wi in 0..self.sa_out_pending.num_words() {
-            let mut word = self.sa_out_pending.word(wi);
+        for wi in 0..self.sa_out_pending.len() {
+            let mut word = std::mem::take(&mut self.sa_out_pending[wi]);
             while word != 0 {
                 let out_port = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let pick = if self.sa_out_nonspec[out_port].any() {
-                    self.out_arb[out_port].grant(&self.sa_out_nonspec[out_port])
+                let nonspec = self.sa_out_nonspec.row(out_port);
+                let pick = if any_bit(nonspec) {
+                    self.out_arb[out_port].grant(nonspec)
                 } else {
-                    self.out_arb[out_port].grant(&self.sa_out_spec[out_port])
+                    self.out_arb[out_port].grant(self.sa_out_spec.row(out_port))
                 };
                 if let Some(in_port) = pick {
                     let (vc, route, out_vc, _) =
                         self.sa_winners[in_port].expect("picked winner exists");
                     picks.push((PortIndex::new(in_port), vc, route, out_vc));
                 }
-                self.sa_out_nonspec[out_port].clear_all();
-                self.sa_out_spec[out_port].clear_all();
+                clear_words(self.sa_out_nonspec.row_mut(out_port));
+                clear_words(self.sa_out_spec.row_mut(out_port));
             }
         }
-        self.sa_out_pending.clear_all();
         for &(in_port, vc, route, out_vc) in picks.iter() {
             self.consume_credit(route.port, route.hops as usize - 1, out_vc);
             self.st_pending.push(StGrant { in_port, vc });
@@ -1076,5 +1125,16 @@ impl PipelineKernel {
         }
         picks.clear();
         self.sa_picks = picks;
+    }
+}
+
+/// Sets or clears VC `vc`'s bit in a one-word per-port mask.
+#[inline]
+fn assign_vc_bit(mask: &mut u64, vc: VcIndex, value: bool) {
+    let bit = 1u64 << vc.index();
+    if value {
+        *mask |= bit;
+    } else {
+        *mask &= !bit;
     }
 }

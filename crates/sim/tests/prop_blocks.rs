@@ -1,10 +1,58 @@
 //! Property-based tests of the microarchitecture building blocks against
 //! reference models.
 
-use noc_base::{Flit, FlitPool, FlitRef, VcIndex};
-use noc_sim::blocks::{CreditBook, FifoBank, RrArbiter};
+use noc_base::bitset::words_for;
+use noc_base::{BitArbiter, Flit, FlitPool, FlitRef, VcIndex};
+use noc_sim::blocks::{CreditBook, FifoBank};
 use proptest::prelude::*;
 use std::collections::VecDeque;
+
+/// The scalar round-robin arbiter: the behavioural reference for
+/// [`BitArbiter`]. The grant is the first requesting index at or after the
+/// rotating-priority pointer, wrapping once, found by walking the request
+/// vector one `bool` at a time; the pointer then moves one past the winner.
+struct RrArbiter {
+    next: usize,
+    n: usize,
+}
+
+impl RrArbiter {
+    fn new(n: usize) -> Self {
+        assert!(n > 0, "arbiter needs at least one requester");
+        Self { next: 0, n }
+    }
+
+    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
+        assert_eq!(requests.len(), self.n, "request vector size mismatch");
+        for offset in 0..self.n {
+            let i = (self.next + offset) % self.n;
+            if requests[i] {
+                self.next = (i + 1) % self.n;
+                return Some(i);
+            }
+        }
+        None
+    }
+}
+
+/// Arbiter widths on both sides of every word boundary up to three words.
+const BOUNDARY_WIDTHS: [usize; 6] = [1, 63, 64, 65, 128, 129];
+
+/// One request vector: dense (a random `bool` per requester) or sparse (a
+/// few set bits, biased onto the last and first bit of each word). Indices
+/// are reduced modulo the arbiter width when applied.
+fn request_pattern() -> impl Strategy<Value = Vec<usize>> {
+    let dense = prop::collection::vec(any::<bool>(), 0..150).prop_map(|bits| {
+        bits.iter()
+            .enumerate()
+            .filter(|&(_, &b)| b)
+            .map(|(i, _)| i)
+            .collect::<Vec<usize>>()
+    });
+    let edge = prop_oneof![0usize..150, Just(63), Just(64), Just(127), Just(128)];
+    let sparse = prop::collection::vec(edge, 0..4);
+    prop_oneof![dense, sparse]
+}
 
 fn flit(tag: u16) -> Flit {
     Flit {
@@ -127,11 +175,12 @@ proptest! {
     /// continuous full load every requester is granted within n rounds.
     #[test]
     fn arbiter_is_work_conserving_and_fair(
-        n in 1usize..12,
-        rounds in 1usize..40,
+        n in 1usize..150,
+        rounds in 1usize..300,
     ) {
-        let mut arb = RrArbiter::new(n);
-        let all = vec![true; n];
+        let mut arb = BitArbiter::new(n);
+        let mut all = vec![0u64; words_for(n)];
+        (0..n).for_each(|i| all[i / 64] |= 1 << (i % 64));
         let mut last_grant = vec![None::<usize>; n];
         for round in 0..rounds {
             let g = arb.grant(&all).expect("work conserving under load");
@@ -142,43 +191,50 @@ proptest! {
             last_grant[g] = Some(round);
         }
         // No requests -> no grant.
-        prop_assert_eq!(arb.grant(&vec![false; n]), None);
+        prop_assert_eq!(arb.grant(&vec![0; words_for(n)]), None);
     }
 
-    /// The word-packed `BitArbiter` is grant-for-grant identical to the
-    /// scalar `RrArbiter` (the retained reference implementation), including
-    /// the rotating-priority pointer, over arbitrary request-mask sequences —
-    /// sparse, dense, empty, and spanning multiple 64-bit words.
+    /// `BitArbiter`'s word-level grant is grant-for-grant identical to the
+    /// scalar `RrArbiter`, including the rotating-priority pointer, over
+    /// arbitrary request sequences — sparse, dense, empty. Every case runs
+    /// at each width in `BOUNDARY_WIDTHS` (one to three words, both sides
+    /// of each word boundary) and at one random width; widths of one word
+    /// also drive the single-`u64` `grant_word` entry point in lockstep.
     #[test]
     fn bit_arbiter_matches_scalar_reference(
-        n in 1usize..150,
-        masks in prop::collection::vec(
-            prop::collection::vec(any::<bool>(), 0..150),
-            1..60,
-        ),
+        random_n in 1usize..200,
+        patterns in prop::collection::vec(request_pattern(), 1..60),
     ) {
-        let mut scalar = RrArbiter::new(n);
-        let mut bit = noc_base::BitArbiter::new(n);
-        for raw in masks {
-            // Resize the raw mask to the arbiter width, then mirror it into
-            // both representations.
-            let requests: Vec<bool> = (0..n).map(|i| raw.get(i).copied().unwrap_or(false)).collect();
-            let mut word_mask = noc_base::WordMask::new(n);
-            for (i, &r) in requests.iter().enumerate() {
-                if r {
-                    word_mask.set(i);
+        for n in BOUNDARY_WIDTHS.into_iter().chain([random_n]) {
+            let mut scalar = RrArbiter::new(n);
+            let mut bit = BitArbiter::new(n);
+            let mut one_word = BitArbiter::new(n);
+            for set in &patterns {
+                let mut requests = vec![false; n];
+                let mut words = vec![0u64; words_for(n)];
+                for &i in set {
+                    let i = i % n;
+                    requests[i] = true;
+                    words[i / 64] |= 1 << (i % 64);
+                }
+                let expected = scalar.grant(&requests);
+                prop_assert_eq!(
+                    bit.grant(&words),
+                    expected,
+                    "n = {}: grant diverged from the scalar reference",
+                    n
+                );
+                prop_assert_eq!(
+                    bit.pointer(),
+                    scalar.next,
+                    "n = {}: RR pointer state diverged from the scalar reference",
+                    n
+                );
+                if n <= 64 {
+                    prop_assert_eq!(one_word.grant_word(words[0]), expected, "n = {}", n);
+                    prop_assert_eq!(one_word.pointer(), scalar.next, "n = {}", n);
                 }
             }
-            prop_assert_eq!(
-                scalar.grant(&requests),
-                bit.grant(&word_mask),
-                "grant diverged from the scalar reference"
-            );
-            prop_assert_eq!(
-                scalar.pointer(),
-                bit.pointer(),
-                "RR pointer state diverged from the scalar reference"
-            );
         }
     }
 

@@ -41,7 +41,7 @@ use noc_base::{RoutingPolicy, VaPolicy};
 use noc_campaign::{CampaignOptions, CampaignSpec, Checkpoint};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
-use noc_sim::{auto_threads, MetricsLevel, RunManifest, SimReport, TraceSpec};
+use noc_sim::{auto_threads, MetricsLevel, NetworkConfig, RunManifest, SimReport, TraceSpec};
 use noc_topology::SharedTopology;
 use noc_traffic::{BenchmarkProfile, TrafficModel};
 use pseudo_circuit::{ExperimentBuilder, Scheme};
@@ -175,7 +175,17 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
                     other => return Err(err(format!("unknown VA policy {other:?}"))),
                 }
             }
-            "--vcs" => out.vcs = parse_num(&value()?, flag)?,
+            "--vcs" => {
+                out.vcs = parse_num(&value()?, flag)?;
+                let max = NetworkConfig::MAX_VCS_PER_PORT;
+                if !(1..=max).contains(&out.vcs) {
+                    return Err(err(format!(
+                        "--vcs must be between 1 and {max} (each port's VCs share one \
+                         64-bit allocator mask word), got {}",
+                        out.vcs
+                    )));
+                }
+            }
             "--buffer" => out.buffer = parse_num(&value()?, flag)?,
             "--warmup" => out.warmup = parse_num(&value()?, flag)?,
             "--measure" => out.measure = parse_num(&value()?, flag)?,
@@ -671,6 +681,15 @@ mod tests {
             .0
             .contains("abc"));
         assert!(parse_scheme("warp").is_err());
+    }
+
+    #[test]
+    fn vcs_beyond_one_mask_word_is_rejected_up_front() {
+        assert_eq!(parse_run_args(&args(&["--vcs", "64"])).unwrap().vcs, 64);
+        for bad in ["65", "255", "0"] {
+            let e = parse_run_args(&args(&["--vcs", bad])).unwrap_err().0;
+            assert!(e.contains("--vcs must be between 1 and 64"), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use noc_base::{RouterId, RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
 use noc_sim::{NetworkConfig, Simulation};
-use noc_topology::{Mesh, Ring};
+use noc_topology::{Mecs, Mesh, Ring};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
 use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -349,4 +349,38 @@ fn steady_state_step_does_not_allocate_with_hybrid_router() {
         reuses_after > reuses_before,
         "no circuit reuse during the counted window — hybrid path never exercised"
     );
+}
+
+#[test]
+fn steady_state_step_does_not_allocate_with_multi_word_masks() {
+    // MECS 4×4 routers have 10 input ports; at 8 VCs their VA candidate and
+    // request masks span 80 slots, two words each, so the kernel's
+    // multi-word scans and grants run every cycle. They index preallocated
+    // flat word storage exactly like the one-word masks do.
+    let topo = Arc::new(Mecs::new(4, 4, 4));
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 5, 0.15, 5);
+    let config = NetworkConfig {
+        vcs_per_port: 8,
+        ..NetworkConfig::paper()
+    };
+    let mut sim = Simulation::new(
+        topo,
+        config,
+        Box::new(traffic),
+        &PcRouterFactory::new(Scheme::baseline()),
+        9,
+    );
+    for _ in 0..20_000 {
+        sim.step();
+    }
+    let allocs = count_allocs(|| {
+        for _ in 0..2_000 {
+            sim.step();
+        }
+    });
+    assert_eq!(allocs, 0, "multi-word-mask engine allocated {allocs} times");
+    let traversals: u64 = (0..sim.topology().num_routers())
+        .map(|r| sim.router(RouterId::new(r)).stats().flit_traversals)
+        .sum();
+    assert!(traversals > 100_000, "workload too light to be meaningful");
 }
