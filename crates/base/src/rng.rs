@@ -16,6 +16,61 @@ pub struct Pcg32 {
 
 const PCG_MULT: u64 = 6364136223846793005;
 const PCG_DEFAULT_INC: u64 = 1442695040888963407;
+/// `PCG_MULT²`: with `inc · (PCG_MULT + 1)`, one multiply-add jumps the LCG
+/// two steps ahead, `s → (s·M + inc)·M + inc`.
+const PCG_MULT_2: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
+
+/// The PCG-XSH-RR output function of one LCG state.
+#[inline]
+fn pcg_output(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    let rot = (state >> 59) as u32;
+    xorshifted.rotate_right(rot)
+}
+
+/// `2^53`, the scale of [`Pcg32::next_f64`]'s 53-bit draws.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+/// Bits of a 53-bit draw that come from the second 32-bit output.
+const LOW_BITS: u32 = 53 - 32;
+
+/// A Bernoulli(`p`) decision prepared for [`Pcg32::next_bernoulli`]: the
+/// integer threshold a 53-bit draw is compared against.
+///
+/// `next_f64() < p` compares `x · 2⁻⁵³` with `p` for a 53-bit integer `x`.
+/// Scaling by a power of two is exact, so that is `x < p · 2⁵³`, and for an
+/// integer `x` it is `x < ⌈p · 2⁵³⌉` — an integer compare against a threshold
+/// that depends on `p` alone. Building it once per `p` (a workload's
+/// injection probability, say) leaves the draw a multiply-add and a compare.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Bernoulli {
+    // `⌈p · 2⁵³⌉` in `0..=2⁵³` for a `p` that draws; `ALWAYS`/`NEVER` for
+    // the clamped ends, which draw nothing.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    const ALWAYS: u64 = u64::MAX;
+    const NEVER: u64 = u64::MAX - 1;
+
+    /// Prepares the decision `next_f64() < p`, with `p ≥ 1` always true and
+    /// `p ≤ 0` always false without a draw; a NaN `p` draws and is false.
+    #[inline]
+    pub fn new(p: f64) -> Self {
+        let threshold = if p >= 1.0 {
+            Self::ALWAYS
+        } else if p <= 0.0 {
+            Self::NEVER
+        } else {
+            // The ceiling by truncation and one compare: `f64::ceil` is a
+            // libm call on baseline x86-64. Exact — `t < 2⁵³` converts to
+            // `u64` and back without rounding; NaN truncates to 0.
+            let t = p * TWO_POW_53;
+            let floor = t as u64;
+            floor + u64::from((floor as f64) < t)
+        };
+        Self { threshold }
+    }
+}
 
 impl Pcg32 {
     /// Creates a generator from a 64-bit seed using the default stream.
@@ -48,9 +103,7 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        pcg_output(old)
     }
 
     /// Returns the next 64 random bits.
@@ -99,16 +152,38 @@ impl Pcg32 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    /// Returns `true` with probability `p` (clamped to `[0, 1]`): the
+    /// decision `next_f64() < p`, drawn only for `0 < p < 1` (and NaN, which
+    /// is false), through [`next_bernoulli`](Self::next_bernoulli).
     #[inline]
     pub fn next_bool(&mut self, p: f64) -> bool {
-        if p >= 1.0 {
-            return true;
+        self.next_bernoulli(Bernoulli::new(p))
+    }
+
+    /// Draws a prepared Bernoulli decision. Same decision and same
+    /// generator state afterwards as `next_f64() < p`, but cheaper: the two
+    /// LCG steps of the 53-bit draw are one jump-ahead multiply-add, and the
+    /// first 32-bit output — the draw's top 32 bits — decides alone unless
+    /// it equals the threshold's top 32 bits (probability 2⁻³²), when the
+    /// second output breaks the tie.
+    #[inline]
+    pub fn next_bernoulli(&mut self, b: Bernoulli) -> bool {
+        match b.threshold {
+            Bernoulli::ALWAYS => return true,
+            Bernoulli::NEVER => return false,
+            _ => {}
         }
-        if p <= 0.0 {
-            return false;
+        let old = self.state;
+        self.state = old
+            .wrapping_mul(PCG_MULT_2)
+            .wrapping_add(self.inc.wrapping_mul(PCG_MULT.wrapping_add(1)));
+        let high = u64::from(pcg_output(old));
+        let threshold_high = b.threshold >> LOW_BITS;
+        if high != threshold_high {
+            return high < threshold_high;
         }
-        self.next_f64() < p
+        let low = pcg_output(old.wrapping_mul(PCG_MULT).wrapping_add(self.inc)) >> (32 - LOW_BITS);
+        u64::from(low) < b.threshold & ((1 << LOW_BITS) - 1)
     }
 
     /// Fisher–Yates shuffles a slice in place.

@@ -94,3 +94,86 @@ proptest! {
         }
     }
 }
+
+/// The decision `next_bool(p)` must reproduce: the original clamped `f64`
+/// compare. No draw for `p ≥ 1` or `p ≤ 0`; NaN draws and compares false.
+fn f64_oracle(rng: &mut Pcg32, p: f64) -> bool {
+    if p >= 1.0 {
+        return true;
+    }
+    if p <= 0.0 {
+        return false;
+    }
+    rng.next_f64() < p
+}
+
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// Probabilities across every class the integer threshold must get right.
+fn probability() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        // Uniform in [0, 1).
+        0.0f64..1.0,
+        // Exactly on a 53-bit draw boundary k·2⁻⁵³, and one ulp either side.
+        (0u64..1 << 53, 0u8..3).prop_map(|(k, side)| {
+            let p = k as f64 / TWO_POW_53;
+            match side {
+                0 => p.next_down(),
+                1 => p,
+                _ => p.next_up(),
+            }
+        }),
+        // Subnormal.
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        // At or beyond the clamped ends, including infinities and -0.0.
+        prop_oneof![
+            Just(1.0),
+            Just(f64::INFINITY),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NEG_INFINITY),
+            1.0f64..1e300,
+            (0.0f64..1e300).prop_map(|x| -x),
+        ],
+        Just(f64::NAN),
+        // Any bit pattern: every other NaN payload, huge and tiny values.
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn next_bool_matches_the_f64_compare(seed in any::<u64>(), stream in any::<u64>(), p in probability()) {
+        let mut fast = Pcg32::seed_with_stream(seed, stream);
+        let mut oracle = fast.clone();
+        for _ in 0..16 {
+            prop_assert_eq!(fast.next_bool(p), f64_oracle(&mut oracle, p));
+            prop_assert_eq!(&fast, &oracle);
+        }
+    }
+
+    /// Thresholds that share the next draw's top 32 bits, so the second
+    /// 32-bit output decides (a 2⁻³² event for a random `p`).
+    #[test]
+    fn next_bool_breaks_top_word_ties_exactly(
+        seed in any::<u64>(),
+        stream in any::<u64>(),
+        offset in 0u64..9,
+        side in 0u8..3,
+    ) {
+        let mut fast = Pcg32::seed_with_stream(seed, stream);
+        let mut oracle = fast.clone();
+        let draw = fast.clone().next_u64() >> 11;
+        let k = (draw + offset).saturating_sub(4).clamp(1, (1 << 53) - 1);
+        let p = k as f64 / TWO_POW_53;
+        let p = match side {
+            0 => p.next_down(),
+            1 => p,
+            _ => p.next_up(),
+        };
+        prop_assert_eq!(fast.next_bool(p), f64_oracle(&mut oracle, p));
+        prop_assert_eq!(&fast, &oracle);
+    }
+}

@@ -390,11 +390,10 @@ impl CampaignSpec {
                         .map(|s| parse_va(s))
                         .collect::<Result<_, _>>()?
                 }
-                "vcs" => {
-                    let max = NetworkConfig::MAX_VCS_PER_PORT.into();
-                    axes.vcs = ints(key, value, 1, max)?;
-                }
-                "buffer" => axes.buffer = ints(key, value, 1, u32::MAX as u64)?,
+                // Ranges the router kernel needs are checked by
+                // `Axes::check_network_configs`, per topology and routing.
+                "vcs" => axes.vcs = ints(key, value, 0, u8::MAX.into())?,
+                "buffer" => axes.buffer = ints(key, value, 0, u32::MAX as u64)?,
                 "packet" => axes.packet = ints(key, value, 1, u16::MAX as u64)?,
                 "seed" => axes.seed = ints(key, value, 0, u64::MAX)?,
                 "load" => {
@@ -416,6 +415,7 @@ impl CampaignSpec {
             }
         }
         axes.validate()?;
+        axes.check_network_configs()?;
         Ok(axes)
     }
 
@@ -492,6 +492,37 @@ impl CampaignSpec {
 }
 
 impl Axes {
+    /// Rejects every topology × routing × vcs × buffer combination whose
+    /// network configuration fails [`NetworkConfig::validate`], before any
+    /// point runs; the error names the combination and the broken
+    /// constraint. Builds each topology once (so an unknown topology is
+    /// rejected here too).
+    fn check_network_configs(&self) -> Result<(), Error> {
+        for name in &self.topology {
+            let topo = crate::runner::build_topology(name)?;
+            for &routing in &self.routing {
+                for &vcs in &self.vcs {
+                    for &buffer in &self.buffer {
+                        let config = NetworkConfig {
+                            vcs_per_port: vcs,
+                            buffer_depth: buffer,
+                            routing,
+                            va_policy: VaPolicy::default(),
+                        };
+                        config.validate(topo.as_ref()).map_err(|e| {
+                            Error(format!(
+                                "spec: topology {name:?}, routing {}, vcs {vcs}, buffer \
+                                 {buffer}: {e}",
+                                routing_name(routing)
+                            ))
+                        })?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Rejects empty axes and duplicate values within an axis (duplicates
     /// would make the cartesian product repeat points).
     fn validate(&self) -> Result<(), Error> {
@@ -642,9 +673,16 @@ load = [0.05, 0.1]
             ("[axes]\nscheme = \"warp\"\n", "unknown scheme"),
             ("[axes]\nrouting = \"zigzag\"\n", "unknown routing"),
             ("[axes]\nva = \"psychic\"\n", "unknown VA"),
-            ("[axes]\nvcs = 0\n", "[1, 64]"),
-            ("[axes]\nvcs = 65\n", "[1, 64]"),
+            ("[axes]\nvcs = 0\n", "between 1 and 64"),
+            ("[axes]\nvcs = 65\n", "between 1 and 64"),
+            ("[axes]\nvcs = 256\n", "integers in [0, 255]"),
             ("[axes]\nvcs = \"four\"\n", "integers"),
+            ("[axes]\nbuffer = 0\n", "buffer depth must be at least 1"),
+            (
+                "[axes]\nvcs = 3\nrouting = \"o1turn\"\n",
+                "multiple of the 2 deadlock-avoidance VC classes",
+            ),
+            ("[axes]\ntopology = \"torus9\"\n", "unknown topology"),
             ("[phases]\nmidgame = 5\n", "unknown phases"),
             (
                 "[axes]\ntopology = [\"mesh2x2\", \"MESH2x2\"]\n",

@@ -22,6 +22,9 @@
 //!   implementing all five configurations of the paper
 //!   ([`Scheme::paper_lineup`]);
 //! - [`PseudoCircuitUnit`] — the register/history state machine of §III–IV;
+//! - [`CircuitPaths`] — the circuit termination, reuse, establishment and
+//!   speculation paths over that unit, shared with the profiled-hybrid
+//!   router;
 //! - [`ExperimentBuilder`] — a high-level API assembling topology, traffic,
 //!   scheme and policies into a runnable simulation.
 //!
@@ -49,12 +52,14 @@
 //! assert!(pseudo.reusability() > 0.0);
 //! ```
 
+pub mod circuits;
 pub mod config;
 pub mod experiment;
 pub mod probe;
 pub mod pseudo;
 pub mod router;
 
+pub use circuits::CircuitPaths;
 pub use config::Scheme;
 pub use experiment::ExperimentBuilder;
 pub use probe::{Probe, RouterCounters};

@@ -11,8 +11,32 @@
 //!   contents so speculation can restore the circuit later (§IV.A);
 //! - every output port remembers the input port of its most recently
 //!   terminated pseudo-circuit (the speculation history register).
+//!
+//! # Port masks
+//!
+//! The unit also keeps two masks over output ports, one [`MaskRows`]
+//! allocation with a row each, so the per-cycle circuit checks visit only
+//! the ports they can act on instead of scanning every port:
+//!
+//! - **held** — bit `o` is set iff output `o` has a holder
+//!   ([`holder`](PseudoCircuitUnit::holder) is `Some`); the candidates of
+//!   credit-exhaustion termination (§III.C);
+//! - **restorable** — bit `o` is set iff output `o` has no holder, has a
+//!   history input `h`, and `h`'s registers are invalid and still point at
+//!   `o`; exactly the ports where [`try_restore`](PseudoCircuitUnit::try_restore)
+//!   succeeds, the candidates of speculation (§IV.A).
+//!
+//! Both are maintained inside `establish`, `terminate` and `try_restore`,
+//! the only mutators. A port's bits depend on its holder, its history
+//! register and the registers of its history input; a change to input `i`'s
+//! registers can only move the bit of the port `i` pointed at before and
+//! the one it points at after (restorable requires `out_port == o`), so
+//! each mutator re-derives the bits of at most two ports.
+//! [`check_invariants`](PseudoCircuitUnit::check_invariants) compares both
+//! masks with their definitions on every port.
 
-use noc_base::{PortIndex, VcIndex};
+use noc_base::bitset::{assign_bit, test_bit, words_for};
+use noc_base::{MaskRows, PortIndex, VcIndex};
 // `Termination` lives next to the `Probe` trait that carries it (the kernel's
 // observability surface in `noc-sim`); re-exported here so the circuit state
 // machine and its termination causes stay importable from one place.
@@ -57,12 +81,29 @@ impl PcRegisters {
     }
 }
 
+/// The per-output-port registers: the port's holder and its speculation
+/// history (both indexed by output port, so kept in one array).
+#[derive(Copy, Clone, Debug, Default)]
+struct OutPortRegs {
+    /// The input port holding the crossbar connection, if any.
+    holder: Option<PortIndex>,
+    /// The input port of the most recently terminated circuit here.
+    history: Option<PortIndex>,
+}
+
+/// Row of the unit's port masks holding the held-port mask.
+const HELD: usize = 0;
+/// Row of the unit's port masks holding the restorable-port mask.
+const RESTORABLE: usize = 1;
+
 /// Pseudo-circuit state for one router.
 #[derive(Clone, Debug)]
 pub struct PseudoCircuitUnit {
     regs: Vec<PcRegisters>,
-    held: Vec<Option<PortIndex>>,
-    history: Vec<Option<PortIndex>>,
+    outs: Vec<OutPortRegs>,
+    // The held and restorable output-port masks (module docs), rows `HELD`
+    // and `RESTORABLE`.
+    ports: MaskRows,
     terminations_conflict: u64,
     terminations_credit: u64,
 }
@@ -72,11 +113,45 @@ impl PseudoCircuitUnit {
     pub fn new(in_ports: usize, out_ports: usize) -> Self {
         Self {
             regs: vec![PcRegisters::empty(); in_ports],
-            held: vec![None; out_ports],
-            history: vec![None; out_ports],
+            outs: vec![OutPortRegs::default(); out_ports],
+            ports: MaskRows::new(2, out_ports),
             terminations_conflict: 0,
             terminations_credit: 0,
         }
+    }
+
+    /// The held-port mask: bit `o` set iff output `o` has a holder.
+    #[inline]
+    pub fn held_ports(&self) -> &[u64] {
+        self.ports.row(HELD)
+    }
+
+    /// The restorable-port mask: bit `o` set iff
+    /// [`try_restore`](Self::try_restore) on output `o` would succeed.
+    #[inline]
+    pub fn restorable_ports(&self) -> &[u64] {
+        self.ports.row(RESTORABLE)
+    }
+
+    /// The restorable condition of `out_port` evaluated from the registers:
+    /// no holder, and a history input whose stale registers point here.
+    fn restorable_by_definition(&self, out_port: PortIndex) -> bool {
+        let port = self.outs[out_port.index()];
+        port.holder.is_none()
+            && port.history.is_some_and(|h| {
+                let reg = self.regs[h.index()];
+                !reg.valid && reg.out_port == out_port
+            })
+    }
+
+    /// Re-derives both mask bits of `out_port` from the registers.
+    #[inline]
+    fn refresh_port(&mut self, out_port: PortIndex) {
+        let o = out_port.index();
+        let held = self.outs[o].holder.is_some();
+        let restorable = self.restorable_by_definition(out_port);
+        assign_bit(self.ports.row_mut(HELD), o, held);
+        assign_bit(self.ports.row_mut(RESTORABLE), o, restorable);
     }
 
     /// The registers of an input port (live or stale).
@@ -92,13 +167,13 @@ impl PseudoCircuitUnit {
 
     /// The input port holding `out_port`'s crossbar connection, if any.
     pub fn holder(&self, out_port: PortIndex) -> Option<PortIndex> {
-        self.held[out_port.index()]
+        self.outs[out_port.index()].holder
     }
 
     /// The speculation history register of `out_port`: the input port of the
     /// most recently terminated pseudo-circuit there.
     pub fn history(&self, out_port: PortIndex) -> Option<PortIndex> {
-        self.history[out_port.index()]
+        self.outs[out_port.index()].history
     }
 
     /// Conflict terminations so far.
@@ -132,20 +207,25 @@ impl PseudoCircuitUnit {
             }
         }
         // Terminate whichever circuit currently holds the output port.
-        if let Some(holder) = self.held[out_port.index()] {
+        if let Some(holder) = self.outs[out_port.index()].holder {
             if holder != in_port {
                 self.terminate(holder, Termination::Conflict);
                 outcome.terminated[1] = Some((holder, out_port));
             }
         }
-        outcome.created = self.held[out_port.index()] != Some(in_port);
+        outcome.created = self.outs[out_port.index()].holder != Some(in_port);
+        // The input's registers move to `out_port`: the port they pointed
+        // at before may lose its restorable bit.
+        let previous_out = self.regs[in_port.index()].out_port;
         self.regs[in_port.index()] = PcRegisters {
             valid: true,
             in_vc,
             out_port,
             hops,
         };
-        self.held[out_port.index()] = Some(in_port);
+        self.outs[out_port.index()].holder = Some(in_port);
+        self.refresh_port(previous_out);
+        self.refresh_port(out_port);
         outcome
     }
 
@@ -158,9 +238,10 @@ impl PseudoCircuitUnit {
         }
         reg.valid = false;
         let out = reg.out_port;
-        debug_assert_eq!(self.held[out.index()], Some(in_port), "hold desync");
-        self.held[out.index()] = None;
-        self.history[out.index()] = Some(in_port);
+        debug_assert_eq!(self.outs[out.index()].holder, Some(in_port), "hold desync");
+        self.outs[out.index()].holder = None;
+        self.outs[out.index()].history = Some(in_port);
+        self.refresh_port(out);
         match why {
             Termination::Conflict => self.terminations_conflict += 1,
             Termination::CreditExhausted => self.terminations_credit += 1,
@@ -174,30 +255,47 @@ impl PseudoCircuitUnit {
     /// was restored; the caller is responsible for the downstream-credit
     /// check.
     pub fn try_restore(&mut self, out_port: PortIndex) -> bool {
-        if self.held[out_port.index()].is_some() {
+        if !test_bit(self.restorable_ports(), out_port.index()) {
             return false;
         }
-        let Some(h) = self.history[out_port.index()] else {
-            return false;
-        };
-        let reg = self.regs[h.index()];
-        if reg.valid || reg.out_port != out_port {
-            return false;
-        }
+        let h = self.outs[out_port.index()]
+            .history
+            .expect("restorable port has a history input");
         self.regs[h.index()].valid = true;
-        self.held[out_port.index()] = Some(h);
+        self.outs[out_port.index()].holder = Some(h);
+        self.refresh_port(out_port);
         true
     }
 
-    /// Checks the one-per-port invariants; used by debug assertions and
-    /// property tests.
+    /// Checks the one-per-port invariants and both port masks against their
+    /// definitions; used by debug assertions and property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let width = words_for(self.outs.len()) * 64;
+        for o in 0..width {
+            let (held, restorable) = if o < self.outs.len() {
+                let port = PortIndex::new(o);
+                (
+                    self.outs[o].holder.is_some(),
+                    self.restorable_by_definition(port),
+                )
+            } else {
+                (false, false) // padding bits of the last word stay clear
+            };
+            if test_bit(self.held_ports(), o) != held {
+                return Err(format!("held mask bit {o} disagrees with the holders"));
+            }
+            if test_bit(self.restorable_ports(), o) != restorable {
+                return Err(format!(
+                    "restorable mask bit {o} disagrees with the registers"
+                ));
+            }
+        }
         for (i, reg) in self.regs.iter().enumerate() {
-            if reg.valid && self.held[reg.out_port.index()] != Some(PortIndex::new(i)) {
+            if reg.valid && self.outs[reg.out_port.index()].holder != Some(PortIndex::new(i)) {
                 return Err(format!("input {i} valid but output not held by it"));
             }
         }
-        for (o, h) in self.held.iter().enumerate() {
+        for (o, h) in self.outs.iter().map(|regs| &regs.holder).enumerate() {
             if let Some(input) = h {
                 if !self.regs[input.index()].valid {
                     return Err(format!("output {o} held by invalid input {input}"));
@@ -209,7 +307,7 @@ impl PseudoCircuitUnit {
                 // count is tiny, and this runs inside a per-step
                 // debug_assert, which must stay allocation-free
                 // (tests/zero_alloc.rs counts debug builds too).
-                if self.held[..o].contains(h) {
+                if self.outs[..o].iter().any(|regs| regs.holder == *h) {
                     return Err(format!("input {input} holds two outputs"));
                 }
             }

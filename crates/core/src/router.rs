@@ -10,7 +10,11 @@
 //! inside ST, §III.B): BW at `t`, ST at `t + 1` — 2 cycles. With **buffer
 //! bypassing** it also skips BW: ST at `t` — 1 cycle.
 //!
-//! # Scheme mechanics implemented here
+//! # Scheme mechanics
+//!
+//! The circuit paths this router shares with the profiled-hybrid router
+//! (termination, reuse, establishment, speculation) live in
+//! [`crate::circuits`]; the bypass latch and the scheme's gating live here.
 //!
 //! - every switch-arbitration grant (re)establishes the pseudo-circuit for
 //!   its connection, terminating circuits that conflict on either port;
@@ -27,13 +31,11 @@
 //!   when its VC buffer is empty and the circuit matches (§IV.B); bypassed
 //!   flits are charged no buffer read/write energy.
 
+use crate::circuits::CircuitPaths;
 use crate::config::Scheme;
 use crate::probe::Probe;
-use crate::pseudo::{PseudoCircuitUnit, Termination};
-use noc_base::{
-    Credit, Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
-    VcPartition,
-};
+use crate::pseudo::PseudoCircuitUnit;
+use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_energy::{EnergyCounters, EnergyEvent};
 use noc_sim::{
     MetricsConfig, NetworkConfig, PipelineKernel, PipelineStage, RouterBuildContext, RouterFactory,
@@ -43,131 +45,14 @@ use noc_sim::{
 use noc_topology::SharedTopology;
 use std::sync::Arc;
 
-/// The pseudo-circuit scheme state and hook implementations: the circuit
-/// registers plus the policy knobs the hooks consult.
+/// The pseudo-circuit scheme state and hook implementations: the scheme's
+/// flags plus the shared circuit paths.
 struct PcHooks {
     scheme: Scheme,
-    va_policy: VaPolicy,
-    partition: VcPartition,
-    pcu: PseudoCircuitUnit,
+    circuits: CircuitPaths,
 }
 
 impl PcHooks {
-    /// Allocates an output VC for a header (VA). `require_credit` makes the
-    /// allocation fail unless the chosen VC has a downstream credit — used by
-    /// the pseudo-circuit reuse/bypass paths that traverse the same cycle.
-    fn allocate_vc(
-        &self,
-        k: &mut PipelineKernel,
-        route: RouteInfo,
-        class: u8,
-        dst: NodeId,
-        owner: (PortIndex, VcIndex),
-        require_credit: bool,
-    ) -> Option<VcIndex> {
-        let sub = route.hops as usize - 1;
-        let port = route.port;
-        let chosen = match self.va_policy {
-            VaPolicy::Static => {
-                let vc = self.partition.static_vc(class, dst);
-                (k.out_vc_is_free(port, vc)
-                    && (!require_credit || k.credits_available(port, sub, vc) > 0))
-                    .then_some(vc)
-            }
-            VaPolicy::Dynamic => self
-                .partition
-                .class_range(class)
-                .map(|v| VcIndex::new(v as usize))
-                .filter(|&v| k.out_vc_is_free(port, v))
-                .filter(|&v| !require_credit || k.credits_available(port, sub, v) > 0)
-                .max_by_key(|&v| k.credits_available(port, sub, v)),
-        }?;
-        k.claim_out_vc(port, chosen, owner);
-        Some(chosen)
-    }
-
-    /// Phase A: terminate pseudo-circuits whose output has no downstream
-    /// credit at the held drop position (§III.C).
-    fn terminate_creditless_circuits(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            let Some(holder) = self.pcu.holder(port) else {
-                continue;
-            };
-            let reg = self.pcu.registers(holder);
-            let sub = reg.hops as usize - 1;
-            if k.credits_at_sub(port, sub) == 0 {
-                self.pcu.terminate(holder, Termination::CreditExhausted);
-                if let Some(p) = k.counters.as_deref_mut() {
-                    p.on_pc_terminated(holder, Termination::CreditExhausted);
-                }
-                k.trace(cycle, TraceEventKind::TerminateCredit, holder, port);
-            }
-        }
-    }
-
-    /// Phase C: pseudo-circuit reuse from the input buffers. A buffered,
-    /// ready head-of-VC flit whose route matches the live circuit traverses
-    /// immediately, bypassing SA.
-    fn reuse_circuits(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
-        for in_port in 0..k.num_in_ports() {
-            if k.in_occupancy[in_port] == 0 {
-                continue; // reuse only drains buffered flits
-            }
-            let in_port = PortIndex::new(in_port);
-            if k.in_busy(in_port) {
-                continue;
-            }
-            let Some(pc) = self.pcu.live(in_port) else {
-                continue;
-            };
-            if k.out_busy(pc.out_port) {
-                continue;
-            }
-            let vc = pc.in_vc;
-            let Some(flit) = k.input_head_ready(in_port, vc, cycle) else {
-                continue;
-            };
-            let (is_head, flit_route) = (flit.kind.is_head(), flit.route);
-            let (class, dst) = (flit.class, flit.dst);
-            let pc_route = RouteInfo {
-                port: pc.out_port,
-                hops: pc.hops,
-            };
-            let sub = pc.hops as usize - 1;
-            if is_head && k.input_route(in_port, vc).is_none() {
-                // A new packet: compare its routing information against the
-                // circuit (§III.B) and acquire an output VC in parallel.
-                if flit_route != pc_route {
-                    continue; // mismatch: the flit takes the baseline pipeline
-                }
-                let Some(out_vc) = self.allocate_vc(k, pc_route, class, dst, (in_port, vc), true)
-                else {
-                    continue; // VA failed: baseline pipeline, no penalty
-                };
-                k.claim_input_vc(in_port, vc, pc_route, out_vc);
-                k.stats.va_grants += 1;
-                k.energy.record(EnergyEvent::Arbitration);
-                if let Some(p) = k.counters.as_deref_mut() {
-                    p.on_va_grant(in_port);
-                }
-            } else {
-                // Mid-packet (or a header that already holds VA state): the
-                // packet's route must match the circuit.
-                if k.input_route(in_port, vc) != Some(pc_route) {
-                    continue;
-                }
-                let out_vc = k
-                    .input_out_vc(in_port, vc)
-                    .expect("routed VC has an output VC");
-                if k.credits_available(pc.out_port, sub, out_vc) == 0 {
-                    continue; // per-VC back-pressure; port-level handled in phase A
-                }
-            }
-            k.traverse_from_buffer(cycle, in_port, vc, true, out);
-        }
-    }
-
     /// Attempts to forward an arriving flit through the bypass latch
     /// (§IV.B). Returns whether the flit was consumed. `r` is the arriving
     /// flit's pool slot; its fields are read in place (after the cheap
@@ -184,7 +69,7 @@ impl PcHooks {
         if !self.scheme.buffer_bypass || k.in_busy(in_port) {
             return false;
         }
-        let Some(pc) = self.pcu.live(in_port) else {
+        let Some(pc) = self.circuits.unit().live(in_port) else {
             return false;
         };
         if k.out_busy(pc.out_port) {
@@ -211,7 +96,9 @@ impl PcHooks {
             if flit_route != pc_route {
                 return false;
             }
-            let Some(allocated) = self.allocate_vc(k, pc_route, class, dst, (in_port, vc), true)
+            let Some(allocated) =
+                self.circuits
+                    .allocate_vc(k, pc_route, class, dst, (in_port, vc), true)
             else {
                 return false;
             };
@@ -265,48 +152,18 @@ impl PcHooks {
         k.send_flit(r, in_port, pc_route, out_vc, 0, out);
         true
     }
-
-    /// Phase G: pseudo-circuit speculation — restore the most recently
-    /// terminated circuit of every idle output port with downstream credit
-    /// (§IV.A).
-    fn speculate(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            if self.pcu.holder(port).is_some() {
-                continue;
-            }
-            let Some(h) = self.pcu.history(port) else {
-                continue;
-            };
-            let reg = self.pcu.registers(h);
-            if reg.valid || reg.out_port != port {
-                continue;
-            }
-            let sub = reg.hops as usize - 1;
-            if k.credits_at_sub(port, sub) == 0 {
-                continue;
-            }
-            let restored = self.pcu.try_restore(port);
-            debug_assert!(restored, "preconditions checked above");
-            k.stats.pc_speculative_restores += 1;
-            if let Some(p) = k.counters.as_deref_mut() {
-                p.on_pc_restored(port);
-            }
-            k.trace(cycle, TraceEventKind::Restore, h, port);
-        }
-    }
 }
 
 impl SchemeHooks for PcHooks {
     fn begin_cycle(&mut self, k: &mut PipelineKernel, cycle: u64) {
         if self.scheme.pseudo_circuit {
-            self.terminate_creditless_circuits(k, cycle);
+            self.circuits.terminate_creditless_circuits(k, cycle);
         }
     }
 
     fn drain_reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
         if self.scheme.pseudo_circuit {
-            self.reuse_circuits(k, cycle, out);
+            self.circuits.reuse_circuits(k, cycle, out);
         }
     }
 
@@ -327,7 +184,8 @@ impl SchemeHooks for PcHooks {
         flit: &Flit,
         owner: (PortIndex, VcIndex),
     ) -> Option<(VcIndex, u8)> {
-        self.allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
+        self.circuits
+            .allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
             .map(|vc| (vc, 0))
     }
 
@@ -339,7 +197,8 @@ impl SchemeHooks for PcHooks {
         if !self.scheme.pseudo_circuit {
             return false;
         }
-        self.pcu
+        self.circuits
+            .unit()
             .live(in_port)
             .is_some_and(|pc| pc.in_vc == vc && pc.out_port == route.port && pc.hops == route.hops)
     }
@@ -353,33 +212,16 @@ impl SchemeHooks for PcHooks {
         vc: VcIndex,
         route: RouteInfo,
     ) {
-        if !self.scheme.pseudo_circuit {
-            return;
-        }
-        let outcome = self.pcu.establish(in_port, vc, route.port, route.hops);
-        if let Some(p) = k.counters.as_deref_mut() {
-            p.on_pc_established(in_port, outcome.created);
-            for (victim, _) in outcome.terminated.into_iter().flatten() {
-                p.on_pc_terminated(victim, Termination::Conflict);
-            }
-        }
-        if k.tracer.is_some() {
-            for (victim, victim_out) in outcome.terminated.into_iter().flatten() {
-                k.trace(cycle, TraceEventKind::TerminateConflict, victim, victim_out);
-            }
-            if outcome.created {
-                k.trace(cycle, TraceEventKind::Establish, in_port, route.port);
-            }
+        if self.scheme.pseudo_circuit {
+            self.circuits.establish(k, cycle, in_port, vc, route);
         }
     }
 
     fn end_cycle(&mut self, k: &mut PipelineKernel, cycle: u64) {
         if self.scheme.speculation {
-            self.speculate(k, cycle);
+            self.circuits.speculate(k, cycle);
         }
-        k.stats.pc_terminations_conflict = self.pcu.terminations_conflict();
-        k.stats.pc_terminations_credit = self.pcu.terminations_credit();
-        debug_assert!(self.pcu.check_invariants().is_ok());
+        self.circuits.end_cycle(k);
     }
 }
 
@@ -412,9 +254,7 @@ impl PcRouter {
             kernel: PipelineKernel::new(id, topo, config, true, pool),
             hooks: PcHooks {
                 scheme,
-                va_policy: config.va_policy,
-                partition,
-                pcu: PseudoCircuitUnit::new(in_ports, out_ports),
+                circuits: CircuitPaths::new(in_ports, out_ports, config.va_policy, partition),
             },
         }
     }
@@ -433,7 +273,7 @@ impl PcRouter {
 
     /// The pseudo-circuit unit (exposed for white-box tests).
     pub fn pseudo_unit(&self) -> &PseudoCircuitUnit {
-        &self.hooks.pcu
+        self.hooks.circuits.unit()
     }
 
     /// The flit slab this router reads and writes flit bodies through
@@ -457,40 +297,17 @@ impl RouterModel for PcRouter {
     }
 
     /// Exact step-is-no-op predicate, mirroring every phase of `step`:
-    /// nothing staged or buffered (the kernel phases have no work), no live
+    /// nothing staged or buffered (the kernel phases have no work), no held
     /// circuit that phase A would terminate for credit exhaustion, and no
-    /// history register that phase G would speculatively restore. Arbiters do
-    /// not move on empty request masks, so a skipped step is bit-identical to
-    /// an executed one.
+    /// restorable circuit that phase G would speculatively restore. Arbiters
+    /// do not move on empty request masks, so a skipped step is
+    /// bit-identical to an executed one. Both circuit checks visit only the
+    /// set bits of the unit's port masks.
     fn is_idle(&self) -> bool {
-        if !self.kernel.is_idle_base() {
-            return false;
-        }
         let (k, h) = (&self.kernel, &self.hooks);
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            if h.scheme.pseudo_circuit {
-                if let Some(holder) = h.pcu.holder(port) {
-                    let reg = h.pcu.registers(holder);
-                    let sub = reg.hops as usize - 1;
-                    if k.credits_at_sub(port, sub) == 0 {
-                        return false; // phase A would terminate this circuit
-                    }
-                }
-            }
-            if h.scheme.speculation && h.pcu.holder(port).is_none() {
-                if let Some(hist) = h.pcu.history(port) {
-                    let reg = h.pcu.registers(hist);
-                    if !reg.valid && reg.out_port == port {
-                        let sub = reg.hops as usize - 1;
-                        if k.credits_at_sub(port, sub) > 0 {
-                            return false; // phase G would restore this circuit
-                        }
-                    }
-                }
-            }
-        }
-        true
+        k.is_idle_base()
+            && !(h.scheme.pseudo_circuit && h.circuits.would_terminate(k))
+            && !(h.scheme.speculation && h.circuits.would_restore(k))
     }
 
     fn stats(&self) -> RouterStats {

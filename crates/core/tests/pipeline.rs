@@ -300,6 +300,60 @@ fn speculation_restores_circuits_on_congestion_relief() {
 }
 
 #[test]
+fn a_credit_to_a_creditless_restorable_circuit_ends_idleness() {
+    // The engine's credit-wake rule rests on this: a router whose only
+    // pending work would be a speculative restore reports idle while the
+    // restorable circuit's sub-channel has no credit, and stops reporting
+    // idle the moment one credit arrives — and that credit's step restores.
+    // A creditless *held* circuit, by contrast, is work with no credit at
+    // all (phase A terminates it).
+    let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
+    let cfg = NetworkConfig {
+        vcs_per_port: 1,
+        buffer_depth: 2,
+        routing: RoutingPolicy::Xy,
+        va_policy: VaPolicy::Static,
+    };
+    let pool = Arc::new(noc_base::FlitPool::new(64, 1));
+    let mut r = PcRouter::new(RouterId::new(0), topo, cfg, Scheme::pseudo_ps(), pool);
+    let mk = |packet: u64| {
+        let mut f = single_flit(packet, 0, 0);
+        f.vc = VcIndex::new(0);
+        f
+    };
+    deliver(&mut r, PortIndex::new(0), mk(1));
+    deliver(&mut r, PortIndex::new(0), mk(2));
+    let mut cycle = 0;
+    let mut sent = 0;
+    while sent < 2 {
+        sent += step(&mut r, cycle).len();
+        cycle += 1;
+    }
+    // Both credits spent and nothing buffered, but the held circuit has no
+    // credit left: phase A still has work.
+    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_some());
+    assert!(!r.is_idle(), "a creditless held circuit is work");
+    step(&mut r, cycle);
+    // Terminated for credit exhaustion: the output is restorable, but its
+    // sub-channel has no credit.
+    assert_eq!(r.stats().pc_terminations_credit, 1);
+    let unit = r.pseudo_unit();
+    assert!(unit.live(PortIndex::new(0)).is_none());
+    assert_eq!(unit.restorable_ports()[0], 1 << EAST.index());
+    assert!(r.is_idle(), "a restore without credit is no work");
+    let restores = r.stats().pc_speculative_restores;
+    assert_eq!(restores, 0);
+
+    r.receive_credit(EAST, noc_base::Credit::new(VcIndex::new(0)));
+    assert!(!r.is_idle(), "the credit enables a restore");
+    step(&mut r, cycle + 1);
+    assert_eq!(r.stats().pc_speculative_restores, restores + 1);
+    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_some());
+    assert_eq!(r.pseudo_unit().restorable_ports()[0], 0);
+    assert!(r.is_idle(), "the restored circuit has credit: nothing left");
+}
+
+#[test]
 fn multi_flit_packet_keeps_vc_until_tail() {
     let (mut r, _) = router();
     let desc = noc_base::PacketDescriptor {

@@ -112,3 +112,87 @@ proptest! {
         }
     }
 }
+
+/// The held and restorable port masks, recomputed from the registers through
+/// the public accessors, bit for bit over every word (padding bits clear).
+fn check_port_masks(unit: &PseudoCircuitUnit, out_ports: usize) -> Result<(), TestCaseError> {
+    let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+    prop_assert_eq!(unit.held_ports().len(), out_ports.div_ceil(64));
+    prop_assert_eq!(unit.restorable_ports().len(), out_ports.div_ceil(64));
+    for o in 0..unit.held_ports().len() * 64 {
+        let (held, restorable) = if o < out_ports {
+            let port = PortIndex::new(o);
+            let held = unit.holder(port).is_some();
+            let restorable = !held
+                && unit.history(port).is_some_and(|h| {
+                    let reg = unit.registers(h);
+                    !reg.valid && reg.out_port == port
+                });
+            (held, restorable)
+        } else {
+            (false, false)
+        };
+        prop_assert_eq!(bit(unit.held_ports(), o), held, "held bit {}", o);
+        prop_assert_eq!(
+            bit(unit.restorable_ports(), o),
+            restorable,
+            "restorable bit {}",
+            o
+        );
+    }
+    Ok(())
+}
+
+/// Port counts around the one-word edge, where a unit's masks span two words.
+fn port_count() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1usize..9,
+        Just(63usize),
+        Just(64usize),
+        Just(65usize),
+        60usize..71
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn port_masks_equal_their_definitions(
+        in_ports in port_count(),
+        out_ports in port_count(),
+        ops in prop::collection::vec(op_strategy(u8::MAX), 1..300),
+    ) {
+        let mut unit = PseudoCircuitUnit::new(in_ports, out_ports);
+        check_port_masks(&unit, out_ports)?;
+        for op in ops {
+            match op {
+                Op::Establish { in_port, vc, out_port } => {
+                    let _ = unit.establish(
+                        PortIndex::new(in_port as usize % in_ports),
+                        VcIndex::new(vc as usize),
+                        PortIndex::new(out_port as usize % out_ports),
+                        1,
+                    );
+                }
+                Op::Terminate { in_port, credit } => unit.terminate(
+                    PortIndex::new(in_port as usize % in_ports),
+                    if credit {
+                        Termination::CreditExhausted
+                    } else {
+                        Termination::Conflict
+                    },
+                ),
+                Op::Restore { out_port } => {
+                    let o = out_port as usize % out_ports;
+                    let restorable = unit.restorable_ports()[o / 64] >> (o % 64) & 1 == 1;
+                    prop_assert_eq!(unit.try_restore(PortIndex::new(o)), restorable);
+                }
+            }
+            check_port_masks(&unit, out_ports)?;
+            if let Err(e) = unit.check_invariants() {
+                prop_assert!(false, "invariant violated: {e}");
+            }
+        }
+    }
+}

@@ -3,22 +3,21 @@
 //! hot-flow-gated held-circuit path, plugged in through [`SchemeHooks`].
 //!
 //! The circuit registers themselves are the pseudo-circuit paper's §III
-//! state machine, reused verbatim ([`PseudoCircuitUnit`]); what differs is
+//! state machine ([`PseudoCircuitUnit`]), driven through the same
+//! [`CircuitPaths`] as the pseudo-circuit router (VC allocation,
+//! credit-exhaustion termination, reuse, establishment); what differs is
 //! *when* a circuit is established — only for flows the profile window
 //! marked hot — and that neither speculation nor buffer bypassing runs.
 
-use noc_base::{
-    Credit, Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
-    VcPartition,
-};
-use noc_energy::{EnergyCounters, EnergyEvent};
+use noc_base::{Credit, Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VcIndex};
+use noc_energy::EnergyCounters;
 use noc_sim::{
     MetricsConfig, NetworkConfig, PipelineKernel, Probe, RouterBuildContext, RouterFactory,
     RouterModel, RouterObservation, RouterOutputs, RouterStats, SchemeHooks, Termination,
     TraceEventKind, TraceRing,
 };
 use noc_topology::SharedTopology;
-use pseudo_circuit::PseudoCircuitUnit;
+use pseudo_circuit::{CircuitPaths, PseudoCircuitUnit};
 use std::sync::Arc;
 
 /// Upper bound on the flow table size; `(src, dst)` pairs beyond it share
@@ -28,9 +27,7 @@ pub const FLOW_TABLE_CAP: usize = 1 << 16;
 /// The hybrid scheme state: the profile counters, the frozen hot-flow table,
 /// and the circuit registers the hot path drives.
 struct HybridHooks {
-    va_policy: VaPolicy,
-    partition: VcPartition,
-    pcu: PseudoCircuitUnit,
+    circuits: CircuitPaths,
     /// First cycle of the hybrid phase; the profile window is `0..profile_cycles`.
     profile_cycles: u64,
     /// Header count at which a profiled flow becomes hot.
@@ -64,121 +61,6 @@ impl HybridHooks {
         self.frozen = true;
     }
 
-    /// Allocates an output VC for a header (VA); see
-    /// `PcHooks::allocate_vc` — identical policy, shared kernel state.
-    fn allocate_vc(
-        &self,
-        k: &mut PipelineKernel,
-        route: RouteInfo,
-        class: u8,
-        dst: NodeId,
-        owner: (PortIndex, VcIndex),
-        require_credit: bool,
-    ) -> Option<VcIndex> {
-        let sub = route.hops as usize - 1;
-        let port = route.port;
-        let chosen = match self.va_policy {
-            VaPolicy::Static => {
-                let vc = self.partition.static_vc(class, dst);
-                (k.out_vc_is_free(port, vc)
-                    && (!require_credit || k.credits_available(port, sub, vc) > 0))
-                    .then_some(vc)
-            }
-            VaPolicy::Dynamic => self
-                .partition
-                .class_range(class)
-                .map(|v| VcIndex::new(v as usize))
-                .filter(|&v| k.out_vc_is_free(port, v))
-                .filter(|&v| !require_credit || k.credits_available(port, sub, v) > 0)
-                .max_by_key(|&v| k.credits_available(port, sub, v)),
-        }?;
-        k.claim_out_vc(port, chosen, owner);
-        Some(chosen)
-    }
-
-    /// Terminates held circuits whose output has no downstream credit at the
-    /// held drop position — the §III.C buffer-overflow protection, kept for
-    /// hybrid circuits unchanged.
-    fn terminate_creditless_circuits(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            let Some(holder) = self.pcu.holder(port) else {
-                continue;
-            };
-            let reg = self.pcu.registers(holder);
-            let sub = reg.hops as usize - 1;
-            if k.credits_at_sub(port, sub) == 0 {
-                self.pcu.terminate(holder, Termination::CreditExhausted);
-                if let Some(p) = k.counters.as_deref_mut() {
-                    p.on_pc_terminated(holder, Termination::CreditExhausted);
-                }
-                k.trace(cycle, TraceEventKind::TerminateCredit, holder, port);
-            }
-        }
-    }
-
-    /// Drains buffered flits through held circuits, bypassing SA — the same
-    /// drain as `PcHooks::reuse_circuits`. Hotness gates only circuit
-    /// *establishment*: once a connection is held, any flit whose route
-    /// matches rides it (`sa_skip` already withheld its SA request, so the
-    /// drain must accept it regardless of its flow's temperature).
-    fn reuse_circuits(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
-        for in_port in 0..k.num_in_ports() {
-            if k.in_occupancy[in_port] == 0 {
-                continue; // reuse only drains buffered flits
-            }
-            let in_port = PortIndex::new(in_port);
-            if k.in_busy(in_port) {
-                continue;
-            }
-            let Some(pc) = self.pcu.live(in_port) else {
-                continue;
-            };
-            if k.out_busy(pc.out_port) {
-                continue;
-            }
-            let vc = pc.in_vc;
-            let Some(flit) = k.input_head_ready(in_port, vc, cycle) else {
-                continue;
-            };
-            let (is_head, flit_route) = (flit.kind.is_head(), flit.route);
-            let (class, dst) = (flit.class, flit.dst);
-            let pc_route = RouteInfo {
-                port: pc.out_port,
-                hops: pc.hops,
-            };
-            let sub = pc.hops as usize - 1;
-            if is_head && k.input_route(in_port, vc).is_none() {
-                if flit_route != pc_route {
-                    continue; // mismatch: the flit takes the baseline pipeline
-                }
-                let Some(out_vc) = self.allocate_vc(k, pc_route, class, dst, (in_port, vc), true)
-                else {
-                    continue; // VA failed: baseline pipeline, no penalty
-                };
-                k.claim_input_vc(in_port, vc, pc_route, out_vc);
-                k.stats.va_grants += 1;
-                k.energy.record(EnergyEvent::Arbitration);
-                if let Some(p) = k.counters.as_deref_mut() {
-                    p.on_va_grant(in_port);
-                }
-            } else {
-                // Mid-packet (or a header that already holds VA state): the
-                // packet's route must match the circuit.
-                if k.input_route(in_port, vc) != Some(pc_route) {
-                    continue;
-                }
-                let out_vc = k
-                    .input_out_vc(in_port, vc)
-                    .expect("routed VC has an output VC");
-                if k.credits_available(pc.out_port, sub, out_vc) == 0 {
-                    continue; // per-VC back-pressure; port-level handled above
-                }
-            }
-            k.traverse_from_buffer(cycle, in_port, vc, true, out);
-        }
-    }
-
     /// Tears down circuits conflicting with a cold grant: SA reconfigured
     /// the crossbar, so a circuit holding either side of the granted
     /// connection no longer exists physically.
@@ -189,16 +71,17 @@ impl HybridHooks {
         in_port: PortIndex,
         out_port: PortIndex,
     ) {
-        if let Some(holder) = self.pcu.holder(out_port) {
-            self.pcu.terminate(holder, Termination::Conflict);
+        let pcu = self.circuits.unit_mut();
+        if let Some(holder) = pcu.holder(out_port) {
+            pcu.terminate(holder, Termination::Conflict);
             if let Some(p) = k.counters.as_deref_mut() {
                 p.on_pc_terminated(holder, Termination::Conflict);
             }
             k.trace(cycle, TraceEventKind::TerminateConflict, holder, out_port);
         }
-        if let Some(pc) = self.pcu.live(in_port) {
+        if let Some(pc) = pcu.live(in_port) {
             let victim_out = pc.out_port;
-            self.pcu.terminate(in_port, Termination::Conflict);
+            pcu.terminate(in_port, Termination::Conflict);
             if let Some(p) = k.counters.as_deref_mut() {
                 p.on_pc_terminated(in_port, Termination::Conflict);
             }
@@ -223,12 +106,12 @@ impl SchemeHooks for HybridHooks {
             // between (idle means no flits), so the hot table is identical.
             self.freeze();
         }
-        self.terminate_creditless_circuits(k, cycle);
+        self.circuits.terminate_creditless_circuits(k, cycle);
     }
 
     fn drain_reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
         if self.frozen {
-            self.reuse_circuits(k, cycle, out);
+            self.circuits.reuse_circuits(k, cycle, out);
         }
     }
 
@@ -246,7 +129,8 @@ impl SchemeHooks for HybridHooks {
             let slot = self.slot(flit.src, flit.dst);
             self.counts[slot] = self.counts[slot].saturating_add(1);
         }
-        self.allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
+        self.circuits
+            .allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
             .map(|vc| (vc, 0))
     }
 
@@ -254,7 +138,7 @@ impl SchemeHooks for HybridHooks {
     /// drain through the held connection in `drain_reuse`.
     fn sa_skip(&self, in_port: PortIndex, vc: VcIndex, route: RouteInfo) -> bool {
         self.frozen
-            && self.pcu.live(in_port).is_some_and(|pc| {
+            && self.circuits.unit().live(in_port).is_some_and(|pc| {
                 pc.in_vc == vc && pc.out_port == route.port && pc.hops == route.hops
             })
     }
@@ -281,27 +165,11 @@ impl SchemeHooks for HybridHooks {
             self.terminate_conflicts(k, cycle, in_port, route.port);
             return;
         }
-        let outcome = self.pcu.establish(in_port, vc, route.port, route.hops);
-        if let Some(p) = k.counters.as_deref_mut() {
-            p.on_pc_established(in_port, outcome.created);
-            for (victim, _) in outcome.terminated.into_iter().flatten() {
-                p.on_pc_terminated(victim, Termination::Conflict);
-            }
-        }
-        if k.tracer.is_some() {
-            for (victim, victim_out) in outcome.terminated.into_iter().flatten() {
-                k.trace(cycle, TraceEventKind::TerminateConflict, victim, victim_out);
-            }
-            if outcome.created {
-                k.trace(cycle, TraceEventKind::Establish, in_port, route.port);
-            }
-        }
+        self.circuits.establish(k, cycle, in_port, vc, route);
     }
 
     fn end_cycle(&mut self, k: &mut PipelineKernel, _cycle: u64) {
-        k.stats.pc_terminations_conflict = self.pcu.terminations_conflict();
-        k.stats.pc_terminations_credit = self.pcu.terminations_credit();
-        debug_assert!(self.pcu.check_invariants().is_ok());
+        self.circuits.end_cycle(k);
     }
 }
 
@@ -343,9 +211,7 @@ impl HybridRouter {
         Self {
             kernel: PipelineKernel::new(id, topo, config, true, pool),
             hooks: HybridHooks {
-                va_policy: config.va_policy,
-                partition,
-                pcu: PseudoCircuitUnit::new(in_ports, out_ports),
+                circuits: CircuitPaths::new(in_ports, out_ports, config.va_policy, partition),
                 profile_cycles,
                 hot_threshold,
                 frozen: false,
@@ -377,7 +243,7 @@ impl HybridRouter {
 
     /// The circuit unit (exposed for white-box tests).
     pub fn pseudo_unit(&self) -> &PseudoCircuitUnit {
-        &self.hooks.pcu
+        self.hooks.circuits.unit()
     }
 
     /// The flit slab this router reads and writes flit bodies through
@@ -406,21 +272,7 @@ impl RouterModel for HybridRouter {
     /// its next busy cycle produces the same table and the same behavior
     /// (see `begin_cycle`).
     fn is_idle(&self) -> bool {
-        if !self.kernel.is_idle_base() {
-            return false;
-        }
-        let (k, h) = (&self.kernel, &self.hooks);
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            if let Some(holder) = h.pcu.holder(port) {
-                let reg = h.pcu.registers(holder);
-                let sub = reg.hops as usize - 1;
-                if k.credits_at_sub(port, sub) == 0 {
-                    return false; // begin_cycle would terminate this circuit
-                }
-            }
-        }
-        true
+        self.kernel.is_idle_base() && !self.hooks.circuits.would_terminate(&self.kernel)
     }
 
     fn stats(&self) -> RouterStats {

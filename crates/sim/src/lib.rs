@@ -94,6 +94,46 @@ impl NetworkConfig {
     /// (DESIGN.md §14). Front ends reject larger values up front.
     pub const MAX_VCS_PER_PORT: u8 = 64;
 
+    /// Checks that routers and interfaces can be built from this
+    /// configuration on `topo`, naming the broken constraint otherwise:
+    ///
+    /// - `vcs_per_port` in `1..=`[`MAX_VCS_PER_PORT`](Self::MAX_VCS_PER_PORT)
+    ///   (one allocator mask word per port);
+    /// - `buffer_depth ≥ 1` (a VC with no buffer slot can never accept a
+    ///   flit, and its upstream starts with no credit);
+    /// - `vcs_per_port` divisible by the VC classes of
+    ///   [`partition_for`](Self::partition_for).
+    ///
+    /// [`Simulation::new`] and the router kernel panic with this message;
+    /// the CLI and campaign front ends call it first and report it as an
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken constraint, as a message for the user.
+    pub fn validate(&self, topo: &dyn Topology) -> Result<(), String> {
+        let (vcs, max) = (self.vcs_per_port, Self::MAX_VCS_PER_PORT);
+        if !(1..=max).contains(&vcs) {
+            return Err(format!(
+                "VCs per port must be between 1 and {max} (each port's VCs share one 64-bit \
+                 allocator mask word), got {vcs}"
+            ));
+        }
+        if self.buffer_depth == 0 {
+            return Err("buffer depth must be at least 1 flit per VC, got 0".into());
+        }
+        let classes = self.routing.num_classes().max(topo.min_classes());
+        if !vcs.is_multiple_of(classes) {
+            return Err(format!(
+                "VCs per port must be a multiple of the {classes} deadlock-avoidance VC classes \
+                 that {} routing needs on {}, got {vcs}",
+                self.routing,
+                topo.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// The paper's configuration: 4 VCs × 4-flit buffers, O1TURN routing with
     /// dynamic VC allocation (the strongest baseline per §VI.A).
     pub fn paper() -> Self {

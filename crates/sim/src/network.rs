@@ -18,8 +18,9 @@
 //! Three word-packed [`WordMask`] activity sets carry this:
 //!
 //! - **Router worklist** (per shard, by local router position): a router
-//!   joins when an inbound flit or credit reaches it and stays only while it
-//!   reports `!is_idle()` right after its own step.
+//!   joins when an inbound flit reaches it, or an inbound credit leaves it
+//!   reporting `!is_idle()`, and stays only while it reports `!is_idle()`
+//!   right after its own step.
 //! - **Interface worklist** (per shard, by position in the shard's node
 //!   list): an interface joins when a packet is enqueued or a flit is
 //!   ejected to it (it then owes a credit) and stays only while
@@ -320,13 +321,17 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
         }
     }
 
-    // Inbound credits, same ordering.
+    // Inbound credits, same ordering. A credit schedules a router that is
+    // off the worklist only if the router stops certifying `is_idle` once
+    // it holds the credit: credits only raise counters, so one can enable a
+    // speculative restore (which `is_idle` reports) but never a termination,
+    // and a router that stays idle would step as a no-op (DESIGN.md §10).
     if ctx.count_lanes && !now.ni_credits.is_empty() {
         *lanes_merged += 1;
     }
     for (router, out_port, credit) in now.ni_credits.drain(..) {
-        router_work.set(router.index() - base);
-        (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
+        let model = &mut **ctx.routers.add(router.index());
+        deliver_credit(model, router_work, router.index() - base, out_port, credit);
     }
     for src in 0..shards {
         let lane = &mut *ctx.lanes_now.add(src * shards + s);
@@ -334,8 +339,8 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
             *lanes_merged += 1;
         }
         for (router, out_port, credit) in lane.credits.drain(..) {
-            router_work.set(router.index() - base);
-            (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
+            let model = &mut **ctx.routers.add(router.index());
+            deliver_credit(model, router_work, router.index() - base, out_port, credit);
         }
     }
 
@@ -358,8 +363,9 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     });
 
     // Routers on the worklist advance and emit. One that certifies
-    // `is_idle` after its step drops off until an event reaches it — so
-    // `is_idle` runs once per step, never on an unscheduled router.
+    // `is_idle` after its step drops off until a flit reaches it or a
+    // credit makes it busy — so `is_idle` runs once per step and once per
+    // credit delivered to an unscheduled router.
     router_work.retain(|pos| {
         let router = RouterId::new(base + pos);
         let model = &mut *ctx.routers.add(router.index());
@@ -434,6 +440,23 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     // via this shard's own scan — so any of them pending marks this shard.
     if !next.is_empty() {
         next.dest_mask.set(s);
+    }
+}
+
+/// Hands `credit` to `model` (shard-local worklist position `pos`) and
+/// schedules the router if it was off the worklist and the credit ended its
+/// idleness.
+#[inline]
+fn deliver_credit(
+    model: &mut dyn RouterModel,
+    router_work: &mut WordMask,
+    pos: usize,
+    out_port: PortIndex,
+    credit: Credit,
+) {
+    model.receive_credit(out_port, credit);
+    if !router_work.get(pos) && !model.is_idle() {
+        router_work.set(pos);
     }
 }
 
@@ -530,7 +553,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the topology fails [`noc_topology::validate`].
+    /// Panics if the topology fails [`noc_topology::validate`] or `config`
+    /// fails [`NetworkConfig::validate`] on it.
     pub fn with_metrics(
         topo: SharedTopology,
         config: NetworkConfig,
@@ -541,6 +565,9 @@ impl Simulation {
     ) -> Self {
         noc_topology::validate(topo.as_ref())
             .unwrap_or_else(|e| panic!("invalid topology {}: {e}", topo.name()));
+        config
+            .validate(topo.as_ref())
+            .unwrap_or_else(|e| panic!("invalid network configuration: {e}"));
         let seeds = SeedStream::new(seed);
 
         // Size the flit slab to the structural maximum of simultaneously

@@ -59,6 +59,12 @@
 //! ends reject larger VC counts before a simulation is built.
 //! `tests/wide_masks.rs` pins reports of routers whose masks span two and
 //! three words.
+//!
+//! Beside the allocator masks, each output sub-channel has one credit
+//! availability word (bit `vc` set iff that VC's counter is nonzero). It
+//! flips at the same 0↔1 counter transitions that maintain the SA credit
+//! gate and answers [`PipelineKernel::sub_has_credit`] — the port-level
+//! credit condition of the pseudo-circuit hooks — with one load.
 
 use crate::blocks::FifoBank;
 use crate::metrics::RouterObservation;
@@ -229,14 +235,22 @@ pub struct PipelineKernel {
     // is buffered into the VC.
     pass_through: Vec<bool>,
     // Output-side state, flattened. `out_owners` is indexed
-    // `out_port * vcs + vc`; the credit counters are indexed
-    // `credit_base[out_port] + sub * vcs + vc` (ports have differing
-    // sub-channel counts, so a per-port base offset replaces a fixed
-    // stride), with `credit_base[out_ports]` the total length.
+    // `out_port * vcs + vc`. Sub-channels are numbered port by port:
+    // `(out_port, sub)` is sub-channel `sub_base[out_port] + sub` (ports have
+    // differing sub-channel counts, so a per-port base offset replaces a
+    // fixed stride), with `sub_base[out_ports]` the total. The credit
+    // counters are indexed `sub_channel * vcs + vc`.
     out_owners: Vec<Option<(PortIndex, VcIndex)>>,
     credits: Vec<u32>,
-    credit_base: Vec<usize>,
+    sub_base: Vec<usize>,
     credit_capacity: u32,
+    // One word per sub-channel, bit `vc` set iff that VC's credit counter is
+    // nonzero (`vcs ≤ 64`, so one word covers a sub-channel). Flipped only at
+    // a counter's 0↔1 transitions, in `note_credit_gate`; read by
+    // `sub_has_credit`, the port-level credit condition of the
+    // pseudo-circuit hooks (termination §III.C, speculation §IV.A), in one
+    // load instead of a sum over the counters.
+    credit_avail: Vec<u64>,
     arrivals: Vec<(PortIndex, FlitRef)>,
     st_pending: Vec<StGrant>,
     last_connection: Vec<Option<PortIndex>>,
@@ -305,6 +319,10 @@ impl PipelineKernel {
     /// whether header crossbar traversals feed
     /// [`RouterStats::header_traversals`]. `pool` is the network-wide flit
     /// slab the router's buffers reference into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`NetworkConfig::validate`] on `topo`.
     pub fn new(
         id: RouterId,
         topo: SharedTopology,
@@ -314,22 +332,23 @@ impl PipelineKernel {
     ) -> Self {
         let in_ports = topo.in_ports(id);
         let out_ports = topo.out_ports(id);
+        config
+            .validate(topo.as_ref())
+            .unwrap_or_else(|e| panic!("invalid network configuration: {e}"));
         let vcs = config.vcs_per_port as usize;
-        assert!(
-            (1..=NetworkConfig::MAX_VCS_PER_PORT).contains(&config.vcs_per_port),
-            "vcs_per_port {vcs} outside 1..={} (one allocator mask word per port)",
-            NetworkConfig::MAX_VCS_PER_PORT
-        );
         let slots = in_ports * vcs;
-        // Per-port credit regions: `channel_len` sub-channels × `vcs`
-        // counters each, laid out back to back in output-port order.
-        let mut credit_base = Vec::with_capacity(out_ports + 1);
-        let mut total_credits = 0usize;
-        credit_base.push(0);
+        // Per-port sub-channel ranges: `channel_len` sub-channels each, laid
+        // out back to back in output-port order.
+        let mut sub_base = Vec::with_capacity(out_ports + 1);
+        let mut total_subs = 0usize;
+        sub_base.push(0);
         for p in 0..out_ports {
-            total_credits += topo.channel_len(id, PortIndex::new(p)) as usize * vcs;
-            credit_base.push(total_credits);
+            total_subs += topo.channel_len(id, PortIndex::new(p)) as usize;
+            sub_base.push(total_subs);
         }
+        // Every counter starts at the (nonzero) buffer depth: all VCs of
+        // every sub-channel available.
+        let all_vcs = u64::MAX >> (64 - vcs);
         Self {
             id,
             concentration: topo.concentration(),
@@ -355,9 +374,10 @@ impl PipelineKernel {
             express: vec![0; slots],
             pass_through: vec![false; slots],
             out_owners: vec![None; out_ports * vcs],
-            credits: vec![config.buffer_depth; total_credits],
-            credit_base,
+            credits: vec![config.buffer_depth; total_subs * vcs],
+            sub_base,
             credit_capacity: config.buffer_depth,
+            credit_avail: vec![all_vcs; total_subs],
             arrivals: Vec::with_capacity(in_ports),
             st_pending: Vec::with_capacity(in_ports),
             last_connection: vec![None; in_ports],
@@ -397,15 +417,22 @@ impl PipelineKernel {
         out_port.index() * self.vcs + vc.index()
     }
 
-    /// The flat index of the `(out_port, sub, vc)` credit counter.
+    /// The flat index of sub-channel `(out_port, sub)`: the index of its
+    /// availability word; its credit counters follow at `index * vcs + vc`.
     #[inline]
-    fn credit_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
-        let idx = self.credit_base[out_port.index()] + sub * self.vcs + vc.index();
+    fn sub_channel(&self, out_port: PortIndex, sub: usize) -> usize {
+        let idx = self.sub_base[out_port.index()] + sub;
         debug_assert!(
-            idx < self.credit_base[out_port.index() + 1],
+            idx < self.sub_base[out_port.index() + 1],
             "sub-channel {sub} out of range on {out_port}"
         );
         idx
+    }
+
+    /// The flat index of the `(out_port, sub, vc)` credit counter.
+    #[inline]
+    fn credit_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
+        self.sub_channel(out_port, sub) * self.vcs + vc.index()
     }
 
     /// Re-derives the VA/SA candidate-mask bits of one input VC from its
@@ -597,11 +624,21 @@ impl PipelineKernel {
         self.credits[self.credit_slot(out_port, sub, vc)]
     }
 
-    /// Total downstream credits across all VCs of `(out_port, sub)`.
+    /// Whether any VC of `(out_port, sub)` has a downstream credit: one
+    /// availability-word load. The port-level credit condition of circuit
+    /// termination (§III.C) and speculation (§IV.A).
     #[inline]
-    pub fn credits_at_sub(&self, out_port: PortIndex, sub: usize) -> u32 {
-        let start = self.credit_base[out_port.index()] + sub * self.vcs;
-        self.credits[start..start + self.vcs].iter().sum()
+    pub fn sub_has_credit(&self, out_port: PortIndex, sub: usize) -> bool {
+        let sc = self.sub_channel(out_port, sub);
+        debug_assert_eq!(
+            self.credit_avail[sc],
+            self.credits[sc * self.vcs..(sc + 1) * self.vcs]
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (vc, &c)| w | u64::from(c > 0) << vc),
+            "stale credit availability word at {out_port} sub {sub}"
+        );
+        self.credit_avail[sc] != 0
     }
 
     /// Reserves one downstream credit of `(out_port, sub, vc)`.
@@ -622,12 +659,15 @@ impl PipelineKernel {
     }
 
     /// Propagates a 0↔1 transition of the `(out_port, sub, vc)` credit
-    /// counter into the owning input VC's [`sa_credit`](Self::sa_credit)
-    /// bit — but only when that counter is the owner's gating counter (the
-    /// owner's route decides which sub-channel its flits traverse, so a
-    /// transition on another sub leaves the owner's bit untouched).
+    /// counter into the sub-channel's availability word and the owning
+    /// input VC's [`sa_credit`](Self::sa_credit) bit — the latter only when
+    /// that counter is the owner's gating counter (the owner's route decides
+    /// which sub-channel its flits traverse, so a transition on another sub
+    /// leaves the owner's bit untouched).
     #[inline]
     fn note_credit_gate(&mut self, out_port: PortIndex, sub: usize, vc: VcIndex, avail: bool) {
+        let sc = self.sub_channel(out_port, sub);
+        assign_vc_bit(&mut self.credit_avail[sc], vc, avail);
         let Some((ip, ivc)) = self.out_owners[self.out_slot(out_port, vc)] else {
             return;
         };

@@ -167,13 +167,17 @@ pub trait RouterModel: Send {
     /// flits, no in-flight internal state, and no pending state transition
     /// (e.g. a circuit termination or speculative restore) that would fire.
     ///
-    /// The engine evaluates this right after the router's own `step` (and
-    /// once when it builds its worklists), not every cycle: a router that
-    /// answers `true` leaves the worklist and is not stepped again until a
-    /// flit or credit reaches it. The answer must therefore stay valid until
-    /// the next `receive_flit`/`receive_credit`, and an inexact `true`
-    /// changes simulated behaviour; the conservative default keeps the
-    /// router stepping every cycle.
+    /// The engine evaluates this right after the router's own `step`, right
+    /// after each `receive_credit` on a router that is off its worklist, and
+    /// once when it builds its worklists — not every cycle. A router that
+    /// answers `true` leaves the worklist and is stepped again only when a
+    /// flit reaches it or a received credit turns this answer `false`. So a
+    /// `true` must stay valid until the next `receive_flit` or
+    /// `receive_credit`, and after a `receive_credit` the answer must be
+    /// `false` whenever that credit gave `step` work (for the
+    /// pseudo-circuit router: a speculative restore it enabled). An inexact
+    /// `true` changes simulated behaviour; the conservative default keeps
+    /// the router stepping every cycle.
     fn is_idle(&self) -> bool {
         false
     }

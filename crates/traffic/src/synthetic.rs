@@ -8,7 +8,7 @@
 //! probability `r / L`.
 
 use crate::{PacketRequest, TrafficModel};
-use noc_base::rng::Pcg32;
+use noc_base::rng::{Bernoulli, Pcg32};
 use noc_base::{NodeId, PacketClass};
 
 /// A destination-selection rule over a logical `cols × rows` grid of nodes.
@@ -113,7 +113,8 @@ pub struct SyntheticTraffic {
     cols: usize,
     rows: usize,
     packet_len: u16,
-    start_prob: f64,
+    // The per-node, per-cycle packet-start decision, prepared once.
+    start: Bernoulli,
     rng: Pcg32,
     name: String,
     // Fast-forward lookahead state (`TrafficModel::next_injection_cycle`).
@@ -164,7 +165,7 @@ impl SyntheticTraffic {
             cols,
             rows,
             packet_len,
-            start_prob: offered_load / packet_len as f64,
+            start: Bernoulli::new(offered_load / packet_len as f64),
             rng: Pcg32::seed_with_stream(seed, 0x7ea),
             name,
             pending: Vec::new(),
@@ -178,7 +179,7 @@ impl SyntheticTraffic {
     /// both `generate` and the fast-forward lookahead.
     fn draw_cycle(&mut self, sink: &mut dyn FnMut(PacketRequest)) {
         for src in 0..self.num_nodes() {
-            if self.rng.next_bool(self.start_prob) {
+            if self.rng.next_bernoulli(self.start) {
                 let dst = self
                     .pattern
                     .destination(src, self.cols, self.rows, &mut self.rng);

@@ -7,13 +7,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-# Debug-assertions pass: unoptimized profile, so every debug_assert! in the
-# hot path is live — the flit pool's 8-bit generation tags (use-after-free /
-# double-free checks on every FlitRef deref, DESIGN.md §19), the FifoBank
-# ring-bounds checks, and the O(1) quiescence flag's cross-check against a
-# full shard scan all fire here and nowhere else.
-echo "==> cargo test -q"
-cargo test -q --offline
+# Debug-assertions pass over every workspace member: unoptimized profile, so
+# every debug_assert! in the hot path is live — the flit pool's 8-bit
+# generation tags (use-after-free / double-free checks on every FlitRef
+# deref, DESIGN.md §19), the FifoBank ring-bounds checks, the O(1)
+# quiescence flag's cross-check against a full shard scan, the worklist
+# exactness cross-check, and the circuit port masks and credit availability
+# words checked against their definitions all fire here and nowhere else.
+# `--workspace` matters: a plain `cargo test` runs only the root package's
+# tests, not the crates' own (engine edge cases, the arbiter oracle, the
+# pool race stress test, the pseudo-circuit unit tests, the campaign spec).
+echo "==> cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 # Second pass with a capped thread budget: every test that builds a
 # simulation or calls parallel_map now runs through the sharded engine and

@@ -41,7 +41,7 @@ use noc_base::{RoutingPolicy, VaPolicy};
 use noc_campaign::{CampaignOptions, CampaignSpec, Checkpoint};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
-use noc_sim::{auto_threads, MetricsLevel, NetworkConfig, RunManifest, SimReport, TraceSpec};
+use noc_sim::{auto_threads, MetricsLevel, RunManifest, SimReport, TraceSpec};
 use noc_topology::SharedTopology;
 use noc_traffic::{BenchmarkProfile, TrafficModel};
 use pseudo_circuit::{ExperimentBuilder, Scheme};
@@ -175,17 +175,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
                     other => return Err(err(format!("unknown VA policy {other:?}"))),
                 }
             }
-            "--vcs" => {
-                out.vcs = parse_num(&value()?, flag)?;
-                let max = NetworkConfig::MAX_VCS_PER_PORT;
-                if !(1..=max).contains(&out.vcs) {
-                    return Err(err(format!(
-                        "--vcs must be between 1 and {max} (each port's VCs share one \
-                         64-bit allocator mask word), got {}",
-                        out.vcs
-                    )));
-                }
-            }
+            "--vcs" => out.vcs = parse_num(&value()?, flag)?,
             "--buffer" => out.buffer = parse_num(&value()?, flag)?,
             "--warmup" => out.warmup = parse_num(&value()?, flag)?,
             "--measure" => out.measure = parse_num(&value()?, flag)?,
@@ -259,11 +249,11 @@ pub fn build_traffic(
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] when the topology or traffic spec is invalid or a
-/// requested output file cannot be written.
+/// Returns a [`CliError`] when the topology or traffic spec is invalid, the
+/// network configuration fails [`noc_sim::NetworkConfig::validate`] on the topology,
+/// or a requested output file cannot be written.
 pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
     let topo = build_topology(&args.topology)?;
-    let traffic = build_traffic(args, &topo)?;
     // `--threads` / `NOC_THREADS` is a budget, not a command: the effective
     // count is clamped to the host CPUs and to what the network is large
     // enough to shard profitably. The decision is recorded in the manifest.
@@ -271,7 +261,7 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
         .map(|n| n.get())
         .unwrap_or(1);
     let threads = auto_threads(args.threads, host_cpus, topo.num_routers());
-    let mut builder = ExperimentBuilder::new(topo)
+    let mut builder = ExperimentBuilder::new(topo.clone())
         .routing(args.routing)
         .va_policy(args.va)
         .vcs(args.vcs)
@@ -285,6 +275,10 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
     }
     let spec = builder.spec();
     let config = builder.config();
+    config
+        .validate(topo.as_ref())
+        .map_err(|e| err(format!("invalid network configuration: {e}")))?;
+    let traffic = build_traffic(args, &topo)?;
     let scheme_label = args.scheme.label();
     let mut sim = match args.scheme {
         RouterChoice::Pc(scheme) => builder.scheme(scheme).build(traffic),
@@ -687,8 +681,37 @@ mod tests {
     fn vcs_beyond_one_mask_word_is_rejected_up_front() {
         assert_eq!(parse_run_args(&args(&["--vcs", "64"])).unwrap().vcs, 64);
         for bad in ["65", "255", "0"] {
-            let e = parse_run_args(&args(&["--vcs", bad])).unwrap_err().0;
-            assert!(e.contains("--vcs must be between 1 and 64"), "{bad}: {e}");
+            let parsed = parse_run_args(&args(&["--vcs", bad])).unwrap();
+            let e = run(&parsed).unwrap_err().0;
+            assert!(
+                e.contains("VCs per port must be between 1 and 64"),
+                "{bad}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn unbuildable_configurations_are_rejected_before_the_run() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["--buffer", "0"], "buffer depth must be at least 1"),
+            (
+                &["--vcs", "3", "--routing", "o1turn"],
+                "multiple of the 2 deadlock-avoidance VC classes",
+            ),
+            // A ring needs two dateline classes even under XY routing.
+            (
+                &["--topology", "ring8", "--vcs", "1", "--routing", "xy"],
+                "multiple of the 2 deadlock-avoidance VC classes",
+            ),
+        ];
+        for (flags, needle) in cases {
+            let parsed = parse_run_args(&args(flags)).unwrap();
+            let e = run(&parsed).unwrap_err().0;
+            assert!(
+                e.starts_with("invalid network configuration: "),
+                "{flags:?}: {e}"
+            );
+            assert!(e.contains(needle), "{flags:?}: {e}");
         }
     }
 

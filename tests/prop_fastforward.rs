@@ -244,8 +244,8 @@ fn check_accessors_track_scalar_model(topo: SharedTopology, id: RouterId, ops: &
             let port = PortIndex::new(p);
             for sub in 0..topo.channel_len(id, port) as usize {
                 let base = model.credit_base[p] + sub * model.vcs;
-                let expected: u32 = model.credits[base..base + model.vcs].iter().sum();
-                assert_eq!(kernel.credits_at_sub(port, sub), expected);
+                let expected = model.credits[base..base + model.vcs].iter().any(|&c| c > 0);
+                assert_eq!(kernel.sub_has_credit(port, sub), expected);
             }
         }
     }
